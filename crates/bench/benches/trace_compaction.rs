@@ -19,6 +19,7 @@
 
 use criterion::{criterion_group, Criterion};
 use ipm_core::{merge_runs, CompactPolicy, TraceKind, TraceRecord, TraceRing};
+use ipm_interpose::CallHandle;
 use std::hint::black_box;
 
 /// Quantum keeping all virtual timestamps dyadic (exact sums).
@@ -27,7 +28,7 @@ const Q: f64 = 1.0 / (1 << 20) as f64;
 fn rec(name: &'static str, begin: f64, end: f64) -> TraceRecord {
     TraceRecord {
         kind: TraceKind::Call,
-        name: name.into(),
+        name: CallHandle::of(name).id,
         detail: None,
         begin,
         end,

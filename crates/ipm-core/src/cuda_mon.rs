@@ -198,7 +198,7 @@ impl CudaApi for IpmCuda {
             .pop()
             .unwrap_or(StreamId::DEFAULT);
         if self.ipm().config().gpu_timing {
-            let name: Arc<str> = Arc::from(kernel.name());
+            let name = CallHandle::of(kernel.name()).id;
             // the KTT lock is held across the bracketed launch, so the
             // wrapper inside must not sweep (EveryCall would self-deadlock);
             // sweep after the lock is released instead
@@ -421,7 +421,7 @@ mod tests {
         // kernel execution it enqueued
         let mut launch_corrs: Vec<u64> = records
             .iter()
-            .filter(|r| r.kind == TraceKind::Call && &*r.name == "cudaLaunch")
+            .filter(|r| r.kind == TraceKind::Call && r.name == site!("cudaLaunch").id)
             .map(|r| r.corr)
             .collect();
         let mut exec_corrs: Vec<u64> = records

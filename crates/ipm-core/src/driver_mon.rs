@@ -277,7 +277,7 @@ impl IpmDriver {
     /// the default stream: that is all `cuLaunchGrid` can target).
     pub fn cu_launch_grid(&self, kernel: &Kernel, grid_x: u32, grid_y: u32) -> CudaResult<()> {
         if self.ipm().config().gpu_timing {
-            let name: Arc<str> = Arc::from(kernel.name());
+            let name = CallHandle::of(kernel.name()).id;
             // the KTT lock is held across the bracketed launch, so the
             // wrapper inside must not sweep (EveryCall would self-deadlock);
             // sweep after the lock is released instead
@@ -425,7 +425,7 @@ mod tests {
         let records = ipm.drain_trace();
         let launch = records
             .iter()
-            .find(|r| r.kind == TraceKind::Call && &*r.name == "cuLaunchGrid")
+            .find(|r| r.kind == TraceKind::Call && r.name == site!("cuLaunchGrid").id)
             .expect("launch record");
         assert_ne!(launch.corr, 0);
         let exec = records

@@ -13,6 +13,7 @@
 use crate::jsonw::{esc, parse_json, Json};
 use crate::trace::{TraceKind, TraceRank, TraceRecord};
 use ipm_gpu_sim::ProfKind;
+use ipm_interpose::NameTable;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -156,6 +157,7 @@ fn meta_event(pid: usize, tid: Option<u32>, which: &str, label: &str) -> String 
 /// `args`, since summaries from different ring stripes may partially
 /// overlap in time.
 pub(crate) fn chrome_trace_json(ranks: &[TraceRank]) -> String {
+    let names = NameTable::global();
     let mut events: Vec<String> = Vec::new();
     for r in ranks {
         let pid = r.rank;
@@ -194,7 +196,7 @@ pub(crate) fn chrome_trace_json(ranks: &[TraceRank]) -> String {
                 args.push(("region", t.region.to_string()));
                 summary_args(t, &mut args);
                 LaneSlice {
-                    name: t.name.to_string(),
+                    name: names.name(t.name).to_string(),
                     begin: t.begin - r.epoch,
                     end: t.end - r.epoch,
                     args,
@@ -233,11 +235,7 @@ pub(crate) fn chrome_trace_json(ranks: &[TraceRank]) -> String {
         } else {
             for t in r.records.iter().filter(|t| t.kind == TraceKind::KernelExec) {
                 let stream = t.stream.unwrap_or(0);
-                let name = t
-                    .detail
-                    .as_deref()
-                    .map(str::to_owned)
-                    .unwrap_or_else(|| t.name.to_string());
+                let name = names.name(t.detail.unwrap_or(t.name)).to_string();
                 let mut args = vec![("region", t.region.to_string())];
                 summary_args(t, &mut args);
                 lanes.entry(stream).or_default().push(LaneSlice {
@@ -455,12 +453,12 @@ mod tests {
     use crate::export::{ChromeTrace, Export};
     use crate::trace::{TraceRing, DEFAULT_TRACE_SHARDS};
     use ipm_gpu_sim::{ProfRecord, StreamId};
-    use std::sync::Arc;
+    use ipm_interpose::CallHandle;
 
     fn call(name: &str, begin: f64, end: f64) -> TraceRecord {
         TraceRecord {
             kind: TraceKind::Call,
-            name: Arc::from(name),
+            name: CallHandle::of(name).id,
             detail: None,
             begin,
             end,
@@ -562,10 +560,10 @@ mod tests {
     fn chrome_trace_is_valid_and_has_flows() {
         let mut launch = call("cudaLaunch", 1.0, 1.00001);
         launch.corr = 42;
-        let mut exec = TraceRecord {
+        let exec = TraceRecord {
             kind: TraceKind::KernelExec,
-            name: Arc::from("@CUDA_EXEC_STRM00"),
-            detail: Some(Arc::from("square")),
+            name: CallHandle::of("@CUDA_EXEC_STRM00").id,
+            detail: Some(CallHandle::of("square").id),
             begin: 1.0001,
             end: 2.15,
             bytes: 0,
@@ -586,7 +584,7 @@ mod tests {
             prof: Vec::new(),
         };
         let mut with_exec = rank.clone();
-        with_exec.records.push(exec.clone());
+        with_exec.records.push(exec);
         let json = export(vec![with_exec]);
         let stats = validate_chrome_trace(&json).expect("valid trace");
         assert_eq!(stats.processes, 1);
@@ -595,7 +593,6 @@ mod tests {
         assert_eq!(stats.flow_pairs, 1);
 
         // prof records take precedence for device lanes when present
-        exec.corr = 0;
         launch.corr = 7;
         let prof_rank = TraceRank {
             rank: 1,

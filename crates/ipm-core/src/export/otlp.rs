@@ -23,6 +23,7 @@ use super::{ExportRank, ExportSource};
 use crate::jsonw::{parse_json, quote, Json};
 use crate::trace::{TraceKind, TraceRecord};
 use ipm_gpu_sim::ProfKind;
+use ipm_interpose::NameTable;
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
@@ -112,6 +113,7 @@ const KIND_CONSUMER: u32 = 5;
 /// All of one rank's spans, device side first so host `cudaLaunch` spans
 /// can link to the kernel span their correlation id resolves to.
 fn rank_spans(r: &ExportRank, trace_id: &str) -> Vec<String> {
+    let names = NameTable::global();
     let mut spans: Vec<Span> = Vec::new();
 
     // Device spans (profiler ground truth wins, as in the Chrome backend),
@@ -143,8 +145,8 @@ fn rank_spans(r: &ExportRank, trace_id: &str) -> Vec<String> {
                 attr_int("ipm.stream", u64::from(t.stream.unwrap_or(0))),
                 attr_int("ipm.region", u64::from(t.region)),
             ];
-            if let Some(detail) = t.detail.as_deref() {
-                attrs.push(attr_str("ipm.kernel", detail));
+            if let Some(detail) = t.detail {
+                attrs.push(attr_str("ipm.kernel", &names.name(detail)));
             }
             if t.corr != 0 {
                 attrs.push(attr_int("ipm.corr", t.corr));
@@ -152,7 +154,7 @@ fn rank_spans(r: &ExportRank, trace_id: &str) -> Vec<String> {
             }
             summary_attrs(t, &mut attrs);
             spans.push(Span {
-                name: t.name.to_string(),
+                name: names.name(t.name).to_string(),
                 kind: KIND_CONSUMER,
                 start: ns(t.begin, r.epoch),
                 end: ns(t.end, r.epoch),
@@ -181,7 +183,7 @@ fn rank_spans(r: &ExportRank, trace_id: &str) -> Vec<String> {
             attrs.push(attr_int("ipm.corr", t.corr));
         }
         spans.push(Span {
-            name: t.name.to_string(),
+            name: names.name(t.name).to_string(),
             kind: KIND_INTERNAL,
             start: ns(t.begin, r.epoch),
             end: ns(t.end, r.epoch),
@@ -411,12 +413,12 @@ mod tests {
     use crate::compact::TraceAgg;
     use crate::export::{Export, Otlp};
     use crate::trace::TraceRank;
-    use std::sync::Arc;
+    use ipm_interpose::CallHandle;
 
     fn rec(kind: TraceKind, name: &str, begin: f64, end: f64, corr: u64) -> TraceRecord {
         TraceRecord {
             kind,
-            name: Arc::from(name),
+            name: CallHandle::of(name).id,
             detail: None,
             begin,
             end,

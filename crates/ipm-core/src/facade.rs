@@ -20,7 +20,7 @@ use crate::ktt::{CompletedKernel, KttCheckPolicy};
 use crate::monitor::Ipm;
 use crate::sig::EventSignature;
 use ipm_gpu_sim::CudaApi;
-use ipm_interpose::{site, wrap_call, wrap_call_sized, CallHandle, CallId, NameTable};
+use ipm_interpose::{site, wrap_call, wrap_call_sized, CallHandle, CallId};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -155,16 +155,10 @@ impl FacadeCore {
             let exec = self.exec_stream_id(c.stream.0);
             let duration = (c.duration - correction).max(0.0);
             if let Some(interval) = c.interval {
-                self.ipm.trace_kernel_exec(
-                    NameTable::global().name(exec),
-                    c.kernel.clone(),
-                    c.stream.0,
-                    interval,
-                    c.corr,
-                );
+                self.ipm
+                    .trace_kernel_exec(exec, c.kernel, c.stream.0, interval, c.corr);
             }
-            self.ipm
-                .update_pseudo(exec, Some(CallHandle::of(&c.kernel).id), duration);
+            self.ipm.update_pseudo(exec, Some(c.kernel), duration);
         }
     }
 

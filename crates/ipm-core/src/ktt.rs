@@ -12,7 +12,7 @@
 //! freed, and a `@CUDA_EXEC_STRMxx` entry lands in the hash table.
 
 use ipm_gpu_sim::{CudaApi, EventId, StreamId};
-use std::sync::Arc;
+use ipm_interpose::CallId;
 
 /// When the wrapper layer sweeps the KTT for completed kernels.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -31,7 +31,8 @@ struct Slot {
     start: EventId,
     stop: EventId,
     stream: StreamId,
-    kernel: Arc<str>,
+    /// Interned kernel symbol.
+    kernel: CallId,
     /// Correlation id of the bracketed launch (0 if the backend does not
     /// track launches), linking this timing to the submitting host call.
     corr: u64,
@@ -40,7 +41,8 @@ struct Slot {
 /// A completed kernel timing, ready for the hash table.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CompletedKernel {
-    pub kernel: Arc<str>,
+    /// Interned kernel symbol.
+    pub kernel: CallId,
     pub stream: StreamId,
     /// Event-bracketed duration in seconds (true kernel time plus roughly
     /// one event-record overhead — the bias Table I quantifies).
@@ -89,7 +91,7 @@ impl Ktt {
     pub fn time_launch<R>(
         &mut self,
         api: &dyn CudaApi,
-        kernel: Arc<str>,
+        kernel: CallId,
         stream: StreamId,
         launch: impl FnOnce() -> R,
     ) -> R {
@@ -145,7 +147,7 @@ impl Ktt {
                     _ => None,
                 };
                 done.push(CompletedKernel {
-                    kernel: s.kernel.clone(),
+                    kernel: s.kernel,
                     stream: s.stream,
                     duration,
                     corr: s.corr,
@@ -172,6 +174,11 @@ impl Ktt {
 mod tests {
     use super::*;
     use ipm_gpu_sim::{launch_kernel, GpuConfig, GpuRuntime, Kernel, KernelCost, LaunchConfig};
+    use ipm_interpose::CallHandle;
+
+    fn id(name: &str) -> CallId {
+        CallHandle::of(name).id
+    }
 
     fn rt() -> GpuRuntime {
         GpuRuntime::single(GpuConfig::dirac_node().with_context_init(0.0))
@@ -179,7 +186,7 @@ mod tests {
 
     fn timed_launch(ktt: &mut Ktt, rt: &GpuRuntime, name: &str, dur: f64) {
         let k = Kernel::timed(name, KernelCost::Fixed(dur));
-        ktt.time_launch(rt, Arc::from(name), StreamId::DEFAULT, || {
+        ktt.time_launch(rt, id(name), StreamId::DEFAULT, || {
             launch_kernel(rt, &k, LaunchConfig::simple(1u32, 1u32), &[]).unwrap();
         });
     }
@@ -197,7 +204,7 @@ mod tests {
         rt.thread_synchronize().unwrap();
         let done = ktt.collect_completed(&rt);
         assert_eq!(done.len(), 1);
-        assert_eq!(&*done[0].kernel, "square");
+        assert_eq!(done[0].kernel, id("square"));
         assert!(done[0].duration >= 0.5, "measured {}", done[0].duration);
         assert!(done[0].duration < 0.5 + 1e-3);
         assert_eq!(ktt.in_flight(), 0);
@@ -239,8 +246,8 @@ mod tests {
         timed_launch(&mut ktt, &rt, "b", 1.0);
         let done = ktt.drain(&rt);
         assert_eq!(done.len(), 2);
-        let names: Vec<&str> = done.iter().map(|c| &*c.kernel).collect();
-        assert!(names.contains(&"a") && names.contains(&"b"));
+        let kernels: Vec<CallId> = done.iter().map(|c| c.kernel).collect();
+        assert!(kernels.contains(&id("a")) && kernels.contains(&id("b")));
     }
 
     #[test]
@@ -249,7 +256,7 @@ mod tests {
         let s1 = rt.stream_create().unwrap();
         let mut ktt = Ktt::new(4);
         let k = Kernel::timed("k", KernelCost::Fixed(0.2));
-        ktt.time_launch(&rt, Arc::from("k"), s1, || {
+        ktt.time_launch(&rt, id("k"), s1, || {
             launch_kernel(&rt, &k, LaunchConfig::simple(1u32, 1u32).on_stream(s1), &[]).unwrap();
         });
         let done = ktt.drain(&rt);

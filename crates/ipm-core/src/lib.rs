@@ -94,11 +94,3 @@ pub use table::PerfTable;
 pub use timeline::render_timeline;
 pub use trace::{TraceCounters, TraceKind, TraceRank, TraceRecord, TraceRing};
 pub use xml::{from_xml, to_xml, trace_epoch_from_xml, trace_from_xml, XmlError};
-
-// Pre-pipeline names, kept for external compatibility only (every one is a
-// deprecated shim over the `export` builder).
-#[allow(deprecated)]
-pub use compat::{
-    chrome_trace, html_report, render_banner, render_cluster_banner, render_region_report,
-    to_xml_with_trace, to_xml_with_trace_at,
-};

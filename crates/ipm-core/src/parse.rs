@@ -228,13 +228,13 @@ mod tests {
     fn chrome_trace_from_xml_logs_is_valid() {
         use crate::export::{validate_chrome_trace, Xml};
         use crate::trace::{TraceKind, TraceRecord};
-        use std::sync::Arc;
+        use ipm_interpose::CallHandle;
 
         let mk = |rank: usize| {
             let trace = vec![
                 TraceRecord {
                     kind: TraceKind::Call,
-                    name: Arc::from("cudaLaunch"),
+                    name: CallHandle::of("cudaLaunch").id,
                     detail: None,
                     begin: 0.1 * rank as f64,
                     end: 0.1 * rank as f64 + 0.001,
@@ -246,8 +246,8 @@ mod tests {
                 },
                 TraceRecord {
                     kind: TraceKind::KernelExec,
-                    name: Arc::from("@CUDA_EXEC_STRM00"),
-                    detail: Some(Arc::from("zgemm_kernel_NN")),
+                    name: CallHandle::of("@CUDA_EXEC_STRM00").id,
+                    detail: Some(CallHandle::of("zgemm_kernel_NN").id),
                     begin: 0.1 * rank as f64 + 0.002,
                     end: 0.1 * rank as f64 + 0.05,
                     bytes: 0,
@@ -275,13 +275,13 @@ mod tests {
     fn otlp_from_xml_logs_is_valid_and_linked() {
         use crate::export::{validate_otlp, Xml};
         use crate::trace::{TraceKind, TraceRecord};
-        use std::sync::Arc;
+        use ipm_interpose::CallHandle;
 
         let mk = |rank: usize| {
             let trace = vec![
                 TraceRecord {
                     kind: TraceKind::Call,
-                    name: Arc::from("cudaLaunch"),
+                    name: CallHandle::of("cudaLaunch").id,
                     detail: None,
                     begin: 0.1,
                     end: 0.101,
@@ -293,8 +293,8 @@ mod tests {
                 },
                 TraceRecord {
                     kind: TraceKind::KernelExec,
-                    name: Arc::from("@CUDA_EXEC_STRM00"),
-                    detail: Some(Arc::from("zgemm_kernel_NN")),
+                    name: CallHandle::of("@CUDA_EXEC_STRM00").id,
+                    detail: Some(CallHandle::of("zgemm_kernel_NN").id),
                     begin: 0.102,
                     end: 0.2,
                     bytes: 0,
@@ -320,7 +320,7 @@ mod tests {
     fn chrome_trace_from_xml_applies_recorded_epochs() {
         use crate::export::{validate_chrome_trace, Xml};
         use crate::trace::{TraceKind, TraceRecord};
-        use std::sync::Arc;
+        use ipm_interpose::CallHandle;
 
         // two ranks whose clocks disagree: each records the shared cluster
         // instant at a different local time; after alignment both slices
@@ -328,7 +328,7 @@ mod tests {
         let mk = |rank: usize, epoch: f64| {
             let trace = vec![TraceRecord {
                 kind: TraceKind::Call,
-                name: Arc::from("MPI_Allreduce"),
+                name: CallHandle::of("MPI_Allreduce").id,
                 detail: None,
                 begin: epoch + 0.25,
                 end: epoch + 0.5,

@@ -62,9 +62,6 @@ impl EventSignature {
         format!("@CUDA_EXEC_STRM{stream:02}")
     }
 
-    /// The `@CUDA_HOST_IDLE` pseudo-event (paper §III-C).
-    pub const HOST_IDLE: &'static str = "@CUDA_HOST_IDLE";
-
     /// Intern this signature into its hot-path [`SigKey`] form.
     pub fn key(&self) -> SigKey {
         SigKey {

@@ -179,13 +179,6 @@ impl PerfTable {
         });
     }
 
-    /// [`PerfTable::update_key`] for a string-keyed signature: interns the
-    /// name(s) first. Report-path and test convenience — the facades
-    /// resolve their names once, not per call.
-    pub fn update(&self, sig: &EventSignature, duration: f64) {
-        self.update_key(sig.key(), duration);
-    }
-
     /// Merge every thread's pending deltas into the shared shards. All
     /// read paths call this first, so reads observe every completed
     /// `update_key`. Draining keeps each cell's map capacity, preserving
@@ -295,8 +288,8 @@ mod tests {
     fn update_accumulates_per_signature() {
         let t = PerfTable::new();
         let sig = EventSignature::call("cudaMemcpy(D2H)", 4096);
-        t.update(&sig, 1.0);
-        t.update(&sig, 3.0);
+        t.update_key(sig.key(), 1.0);
+        t.update_key(sig.key(), 3.0);
         let stats = t.get(&sig).unwrap();
         assert_eq!(stats.count, 2);
         assert_eq!(stats.total, 4.0);
@@ -305,21 +298,10 @@ mod tests {
     }
 
     #[test]
-    fn update_key_is_the_hot_path_form_of_update() {
-        let t = PerfTable::new();
-        let sig = EventSignature::call("cudaLaunch", 0).in_region(2);
-        t.update_key(sig.key(), 0.5);
-        t.update(&sig, 0.25);
-        let stats = t.get(&sig).unwrap();
-        assert_eq!(stats.count, 2);
-        assert_eq!(stats.total, 0.75);
-    }
-
-    #[test]
     fn distinct_byte_counts_get_distinct_entries() {
         let t = PerfTable::new();
-        t.update(&EventSignature::call("cudaMemcpy(H2D)", 100), 0.1);
-        t.update(&EventSignature::call("cudaMemcpy(H2D)", 200), 0.2);
+        t.update_key(EventSignature::call("cudaMemcpy(H2D)", 100).key(), 0.1);
+        t.update_key(EventSignature::call("cudaMemcpy(H2D)", 200).key(), 0.2);
         assert_eq!(t.len(), 2);
         // but the banner view merges them by name
         let totals = t.totals_by_name();
@@ -331,14 +313,14 @@ mod tests {
     fn capacity_cap_counts_overflow() {
         let t = PerfTable::with_shape(4, 2);
         for i in 0..10u64 {
-            t.update(&EventSignature::call("x", i), 0.1);
+            t.update_key(EventSignature::call("x", i).key(), 0.1);
         }
         assert!(t.len() <= 4);
         assert!(t.overflow() >= 6);
         // existing entries still update after saturation
         let first = EventSignature::call("x", 0);
         if let Some(before) = t.get(&first) {
-            t.update(&first, 0.1);
+            t.update_key(first.key(), 0.1);
             assert_eq!(t.get(&first).unwrap().count, before.count + 1);
         }
     }
@@ -347,10 +329,10 @@ mod tests {
     fn reads_observe_deltas_still_resident_in_cells() {
         // no explicit flush API: every read path flushes implicitly
         let t = PerfTable::new();
-        t.update(&EventSignature::call("MPI_Send", 8), 1.0);
+        t.update_key(EventSignature::call("MPI_Send", 8).key(), 1.0);
         assert!(!t.is_empty());
         assert_eq!(t.len(), 1);
-        t.update(&EventSignature::call("MPI_Send", 8), 1.0);
+        t.update_key(EventSignature::call("MPI_Send", 8).key(), 1.0);
         assert_eq!(
             t.get(&EventSignature::call("MPI_Send", 8)).unwrap().count,
             2
@@ -363,10 +345,10 @@ mod tests {
     #[test]
     fn snapshot_order_is_deterministic() {
         let t = PerfTable::new();
-        t.update(&EventSignature::call("zeta", 0), 0.1);
-        t.update(&EventSignature::call("alpha", 4), 0.1);
-        t.update(&EventSignature::call("alpha", 2), 0.1);
-        t.update(&EventSignature::call("alpha", 2).in_region(1), 0.1);
+        t.update_key(EventSignature::call("zeta", 0).key(), 0.1);
+        t.update_key(EventSignature::call("alpha", 4).key(), 0.1);
+        t.update_key(EventSignature::call("alpha", 2).key(), 0.1);
+        t.update_key(EventSignature::call("alpha", 2).in_region(1).key(), 0.1);
         let names: Vec<(String, u64, u16)> = t
             .snapshot()
             .into_iter()
@@ -386,9 +368,9 @@ mod tests {
     #[test]
     fn totals_sorted_descending() {
         let t = PerfTable::new();
-        t.update(&EventSignature::call("small", 0), 0.1);
-        t.update(&EventSignature::call("big", 0), 5.0);
-        t.update(&EventSignature::call("mid", 0), 1.0);
+        t.update_key(EventSignature::call("small", 0).key(), 0.1);
+        t.update_key(EventSignature::call("big", 0).key(), 5.0);
+        t.update_key(EventSignature::call("mid", 0).key(), 1.0);
         let names: Vec<_> = t.totals_by_name().into_iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["big", "mid", "small"]);
     }
@@ -396,9 +378,9 @@ mod tests {
     #[test]
     fn time_where_filters_by_family() {
         let t = PerfTable::new();
-        t.update(&EventSignature::call("MPI_Send", 8), 1.0);
-        t.update(&EventSignature::call("MPI_Recv", 8), 2.0);
-        t.update(&EventSignature::call("cudaMemcpy(D2H)", 8), 4.0);
+        t.update_key(EventSignature::call("MPI_Send", 8).key(), 1.0);
+        t.update_key(EventSignature::call("MPI_Recv", 8).key(), 2.0);
+        t.update_key(EventSignature::call("cudaMemcpy(D2H)", 8).key(), 4.0);
         assert_eq!(t.time_where(|n| n.starts_with("MPI_")), 3.0);
         assert_eq!(t.time_where(|n| n.starts_with("cuda")), 4.0);
     }
@@ -413,8 +395,8 @@ mod tests {
                     let sig = EventSignature::call("hot", 0);
                     let own = EventSignature::call("own", k);
                     for _ in 0..10_000 {
-                        t.update(&sig, 1e-6);
-                        t.update(&own, 1e-6);
+                        t.update_key(sig.key(), 1e-6);
+                        t.update_key(own.key(), 1e-6);
                     }
                 })
             })
@@ -443,7 +425,7 @@ mod tests {
         let h = {
             let t = t.clone();
             thread::spawn(move || {
-                t.update(&EventSignature::call("MPI_Barrier", 0), 0.5);
+                t.update_key(EventSignature::call("MPI_Barrier", 0).key(), 0.5);
             })
         };
         h.join().unwrap();
@@ -460,9 +442,9 @@ mod tests {
         let a = PerfTable::new();
         let b = PerfTable::new();
         let sig = EventSignature::call("cudaFree", 0);
-        a.update(&sig, 1.0);
-        b.update(&sig, 2.0);
-        a.update(&sig, 1.0);
+        a.update_key(sig.key(), 1.0);
+        b.update_key(sig.key(), 2.0);
+        a.update_key(sig.key(), 1.0);
         assert_eq!(a.get(&sig).unwrap().count, 2);
         assert_eq!(a.get(&sig).unwrap().total, 2.0);
         assert_eq!(b.get(&sig).unwrap().count, 1);

@@ -24,11 +24,11 @@
 
 use crate::compact::{cmp_time, compact_records, CompactPolicy, TraceAgg};
 use ipm_gpu_sim::ProfRecord;
+use ipm_interpose::CallId;
 #[cfg(not(loom))]
 use std::cell::UnsafeCell;
 #[cfg(not(loom))]
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Records
@@ -66,16 +66,18 @@ impl TraceKind {
     }
 }
 
-/// One captured event: a compact, fixed-shape record (interned names keep
-/// it cheap to clone under the ring lock).
+/// One captured event: a compact, fixed-shape, plain-data record. Names
+/// are interned [`CallId`]s — the same identity the perf table keys on —
+/// resolved to strings only by the writers
+/// ([`ipm_interpose::NameTable::name`]).
 #[derive(Clone, Debug, PartialEq)]
 pub struct TraceRecord {
     pub kind: TraceKind,
     /// Registry name (`cudaMemcpy(D2H)`, `MPI_Allreduce`, …) or, for
     /// `KernelExec`, the `@CUDA_EXEC_STRMxx` pseudo-event name.
-    pub name: Arc<str>,
+    pub name: CallId,
     /// Kernel symbol for `KernelExec` records.
-    pub detail: Option<Arc<str>>,
+    pub detail: Option<CallId>,
     /// Begin timestamp, virtual seconds.
     pub begin: f64,
     /// End timestamp, virtual seconds.
@@ -571,23 +573,23 @@ pub struct TraceRank {
 // Moved items
 // ---------------------------------------------------------------------------
 
-// The Chrome exporter, its validator, and the JSON parser now live in the
-// unified export pipeline (`crate::export::chrome`) and the shared JSON
-// module (`crate::jsonw`); re-exported here so the established
-// `ipm_core::trace::…` paths keep working.
-#[allow(deprecated)]
-pub use crate::compat::chrome_trace;
+// The Chrome validator and the JSON parser live in the unified export
+// pipeline (`crate::export::chrome`) and the shared JSON module
+// (`crate::jsonw`); re-exported here so the established `ipm_core::trace::…`
+// paths keep working.
 pub use crate::export::chrome::{validate_chrome_trace, TraceStats};
 pub use crate::jsonw::{parse_json, Json};
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipm_interpose::CallHandle;
+    use std::sync::Arc;
 
     fn call(name: &str, begin: f64, end: f64) -> TraceRecord {
         TraceRecord {
             kind: TraceKind::Call,
-            name: Arc::from(name),
+            name: CallHandle::of(name).id,
             detail: None,
             begin,
             end,
@@ -597,6 +599,14 @@ mod tests {
             corr: 0,
             agg: None,
         }
+    }
+
+    #[test]
+    fn record_and_key_sizes_stay_pinned() {
+        // both carry interned ids, not fat string pointers: a ring slot is
+        // plain data and a table key hashes plain integers
+        assert_eq!(std::mem::size_of::<crate::sig::SigKey>(), 24);
+        assert!(std::mem::size_of::<TraceRecord>() <= 112);
     }
 
     #[test]

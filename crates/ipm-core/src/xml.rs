@@ -22,9 +22,9 @@
 use crate::compact::TraceAgg;
 use crate::profile::{MonitorInfo, ProfileEntry, RankProfile};
 use crate::trace::{TraceKind, TraceRecord};
+use ipm_interpose::{CallHandle, NameTable};
 use ipm_sim_core::RunningStats;
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 /// XML parsing failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -105,11 +105,11 @@ pub(crate) fn to_xml_with_trace_at(p: &RankProfile, trace: &[TraceRecord], epoch
         } else {
             out.push_str("    <trace>\n");
         }
+        let names = NameTable::global();
         for t in trace {
             let detail = t
                 .detail
-                .as_ref()
-                .map(|d| format!(" detail=\"{}\"", escape(d)))
+                .map(|d| format!(" detail=\"{}\"", escape(&names.name(d))))
                 .unwrap_or_default();
             let stream = t
                 .stream
@@ -128,7 +128,7 @@ pub(crate) fn to_xml_with_trace_at(p: &RankProfile, trace: &[TraceRecord], epoch
                 out,
                 "      <event kind=\"{}\" name=\"{}\"{} begin=\"{}\" end=\"{}\" bytes=\"{}\" region=\"{}\"{} corr=\"{}\"{}/>",
                 t.kind.tag(),
-                escape(&t.name),
+                escape(&names.name(t.name)),
                 detail,
                 t.begin,
                 t.end,
@@ -277,7 +277,9 @@ pub fn from_xml(xml: &str) -> Result<RankProfile, XmlError> {
 }
 
 /// Parse the `<trace>` section back out of a log written by
-/// [`to_xml_with_trace_at`]. Logs without a trace yield an empty vector.
+/// [`to_xml_with_trace_at`], interning every name and kernel symbol read
+/// (a trace record carries [`ipm_interpose::CallId`]s, never strings).
+/// Logs without a trace yield an empty vector.
 pub fn trace_from_xml(xml: &str) -> Result<Vec<TraceRecord>, XmlError> {
     let mut out = Vec::new();
     for line in xml.lines().map(str::trim) {
@@ -292,8 +294,8 @@ pub fn trace_from_xml(xml: &str) -> Result<Vec<TraceRecord>, XmlError> {
             .ok_or_else(|| XmlError::Malformed(format!("unknown event kind '{kind_raw}'")))?;
         out.push(TraceRecord {
             kind,
-            name: Arc::from(attr(line, "name").ok_or(XmlError::Missing("name"))?),
-            detail: attr(line, "detail").map(Arc::from),
+            name: CallHandle::of(&attr(line, "name").ok_or(XmlError::Missing("name"))?).id,
+            detail: attr(line, "detail").map(|d| CallHandle::of(&d).id),
             begin: num_attr(line, "begin")?,
             end: num_attr(line, "end")?,
             bytes: num_attr(line, "bytes")?,
@@ -445,7 +447,7 @@ mod tests {
         let trace = vec![
             TraceRecord {
                 kind: TraceKind::Call,
-                name: Arc::from("cudaLaunch"),
+                name: CallHandle::of("cudaLaunch").id,
                 detail: None,
                 begin: 1.0,
                 end: 1.25,
@@ -457,8 +459,8 @@ mod tests {
             },
             TraceRecord {
                 kind: TraceKind::KernelExec,
-                name: Arc::from("@CUDA_EXEC_STRM02"),
-                detail: Some("square<T>".to_owned().into()),
+                name: CallHandle::of("@CUDA_EXEC_STRM02").id,
+                detail: Some(CallHandle::of("square<T>").id),
                 begin: 1.25,
                 end: 2.5,
                 bytes: 0,
@@ -481,7 +483,7 @@ mod tests {
     fn summary_records_and_epoch_roundtrip() {
         let trace = vec![TraceRecord {
             kind: TraceKind::Call,
-            name: Arc::from("cudaLaunch"),
+            name: CallHandle::of("cudaLaunch").id,
             detail: None,
             begin: 1.0,
             end: 4.75,

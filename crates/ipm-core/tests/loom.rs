@@ -12,13 +12,14 @@
 #![cfg(loom)]
 
 use ipm_core::{CompactPolicy, EventSignature, PerfTable, TraceKind, TraceRecord, TraceRing};
+use ipm_interpose::CallHandle;
 use loom::sync::Arc;
 use loom::thread;
 
 fn rec(name: &str, begin: f64) -> TraceRecord {
     TraceRecord {
         kind: TraceKind::Call,
-        name: name.into(),
+        name: CallHandle::of(name).id,
         detail: None,
         begin,
         end: begin + 1e-6,
@@ -173,8 +174,8 @@ fn delta_cell_flush_races_recorders_without_losing_or_doubling() {
                     // two updates per thread: the second lands on a key the
                     // cell has already seen *unless* a racing flush drained
                     // it in between — both shapes are explored
-                    table.update(&EventSignature::call("cudaLaunch", 0), 1e-6);
-                    table.update(&EventSignature::call("cudaMemcpy(H2D)", 64 * t), 2e-6);
+                    table.update_key(EventSignature::call("cudaLaunch", 0).key(), 1e-6);
+                    table.update_key(EventSignature::call("cudaMemcpy(H2D)", 64 * t).key(), 2e-6);
                 })
             })
             .collect();
@@ -211,8 +212,8 @@ fn perf_table_stripe_updates_merge_and_respect_capacity() {
             .map(|t| {
                 let table = Arc::clone(&table);
                 thread::spawn(move || {
-                    table.update(&EventSignature::call("hot", 0), 1e-6);
-                    table.update(&EventSignature::call("own", t), 1e-6);
+                    table.update_key(EventSignature::call("hot", 0).key(), 1e-6);
+                    table.update_key(EventSignature::call("own", t).key(), 1e-6);
                 })
             })
             .collect();

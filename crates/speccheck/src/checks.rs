@@ -2,8 +2,8 @@
 
 use crate::diag::Diagnostic;
 use crate::extract::{
-    absorb_calls, anatomy_uses, defines_absorb, facade_names, lock_call_lines, lock_holds, waivers,
-    wrap_sites, BytesArg, SourceFile, WrapSite,
+    anatomy_uses, facade_names, lock_call_lines, lock_holds, waivers, wrap_sites, BytesArg,
+    SourceFile, WrapSite,
 };
 use ipm_interpose::{ApiFamily, BlockingClass};
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -276,48 +276,6 @@ pub fn run(spec: &[SpecRow], files: &[(Role, SourceFile)]) -> Vec<Diagnostic> {
                     u.what.trim_end_matches('(')
                 ),
             });
-        }
-    }
-
-    // host-idle routing: in monitors implementing the probe (the legacy
-    // per-facade anatomy), every implicit-sync wrapper must probe first,
-    // and memsets must not
-    for (role, f) in files {
-        if *role != Role::Monitor || !defines_absorb(f) {
-            continue;
-        }
-        let absorbs = absorb_calls(f);
-        for s in wrap_sites(f) {
-            let Some(row) = by_name.get(s.name.as_str()) else {
-                continue;
-            };
-            let probed = absorbs
-                .iter()
-                .any(|(fn_name, line)| *fn_name == s.fn_name && *line < s.line);
-            if row.blocking == BlockingClass::ImplicitSync && !probed {
-                diags.push(Diagnostic {
-                    code: "host-idle",
-                    target: s.name.clone(),
-                    file: s.file.clone(),
-                    line: s.line,
-                    message: format!(
-                        "`{}` is in the implicit-blocking set but `{}` does not call absorb_host_idle() before the wrapped call",
-                        s.name, s.fn_name
-                    ),
-                });
-            }
-            if s.name.contains("emset") && probed {
-                diags.push(Diagnostic {
-                    code: "host-idle",
-                    target: s.name.clone(),
-                    file: s.file.clone(),
-                    line: s.line,
-                    message: format!(
-                        "`{}` is a memset — excluded from the implicit-blocking set (paper §III-C) — yet `{}` probes for host idle",
-                        s.name, s.fn_name
-                    ),
-                });
-            }
         }
     }
 

@@ -340,13 +340,6 @@ pub fn lock_call_lines(file: &SourceFile) -> Vec<usize> {
         .collect()
 }
 
-/// Does this monitor implement the host-idle probe?
-pub fn defines_absorb(file: &SourceFile) -> bool {
-    file.scanned_lines()
-        .iter()
-        .any(|l| l.contains("fn absorb_host_idle"))
-}
-
 /// A wrapper-anatomy primitive used outside the shared core.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AnatomyUse {
@@ -386,22 +379,6 @@ pub fn anatomy_uses(file: &SourceFile) -> Vec<AnatomyUse> {
                     line: i + 1,
                 });
             }
-        }
-    }
-    out
-}
-
-/// `(fn_name, line)` of every `absorb_host_idle()` *call* site.
-pub fn absorb_calls(file: &SourceFile) -> Vec<(String, usize)> {
-    let lines = file.scanned_lines();
-    let mut out = Vec::new();
-    let mut fn_name = String::new();
-    for (i, line) in lines.iter().enumerate() {
-        if let Some(f) = current_fn(line) {
-            fn_name = f;
-        }
-        if line.contains("absorb_host_idle()") && !line.contains("fn ") {
-            out.push((fn_name.clone(), i + 1));
         }
     }
     out
@@ -573,18 +550,5 @@ mod tests {
         assert_eq!(w.len(), 1);
         assert_eq!(w[0].code, "wrap-once");
         assert_eq!(w[0].fn_name, "a");
-    }
-
-    #[test]
-    fn absorb_detection() {
-        let f = file(
-            "    fn absorb_host_idle(&self) {}\n\
-             \x20   fn copy(&self) {\n\
-             \x20       self.absorb_host_idle();\n\
-             \x20   }\n",
-        );
-        assert!(defines_absorb(&f));
-        let calls = absorb_calls(&f);
-        assert_eq!(calls, vec![("copy".to_owned(), 3)]);
     }
 }

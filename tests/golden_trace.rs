@@ -10,6 +10,7 @@
 //! UPDATE_GOLDEN=1 cargo test --test golden_trace
 //! ```
 
+use ipm_repro::interpose::CallHandle;
 use ipm_repro::ipm::{
     validate_chrome_trace, ChromeTrace, CompactPolicy, Export, TraceKind, TraceRank, TraceRecord,
     TraceRing,
@@ -25,7 +26,7 @@ fn rec(
 ) -> TraceRecord {
     TraceRecord {
         kind,
-        name: name.into(),
+        name: CallHandle::of(name).id,
         detail: None,
         begin,
         end,

@@ -1,9 +1,11 @@
 //! Property-based tests over the core data structures and invariants.
 
+use ipm_repro::interpose::CallHandle;
+use ipm_repro::ipm::parse::export_from_xml;
 use ipm_repro::ipm::{
-    from_xml, merge_runs, to_xml, validate_chrome_trace, ChromeTrace, CompactPolicy,
-    EventSignature, Export, PerfTable, ProfileEntry, RankProfile, TraceKind, TraceRank,
-    TraceRecord, TraceRing,
+    banner_from_xml, chrome_trace_from_xml, from_xml, merge_runs, to_xml, trace_from_xml,
+    validate_chrome_trace, ChromeTrace, CompactPolicy, EventSignature, Export, PerfTable,
+    ProfileEntry, RankProfile, TraceKind, TraceRank, TraceRecord, TraceRing, Xml,
 };
 use ipm_repro::numlib::{blaskernels, fftkernels, Complex64, FftDirection, Transpose};
 use ipm_repro::sim::{RunningStats, SimClock, SimRng};
@@ -28,7 +30,7 @@ proptest! {
             std::collections::HashMap::new();
         for &(n, bytes, region, dur) in &updates {
             let sig = EventSignature::call(names[n as usize], bytes).in_region(region);
-            table.update(&sig, dur);
+            table.update_key(sig.key(), dur);
             model.entry((n, bytes, region)).or_default().record(dur);
         }
         prop_assert_eq!(table.len(), model.len());
@@ -47,7 +49,7 @@ proptest! {
     fn perf_table_never_exceeds_capacity(cap in 1usize..32, shards in 1usize..8, n in 0u64..200) {
         let table = PerfTable::with_shape(cap, shards);
         for i in 0..n {
-            table.update(&EventSignature::call("x", i), 0.5);
+            table.update_key(EventSignature::call("x", i).key(), 0.5);
         }
         prop_assert!(table.len() <= cap);
         prop_assert_eq!(table.len() as u64 + table.overflow(), n);
@@ -344,7 +346,7 @@ fn trace_rec(
 ) -> TraceRecord {
     TraceRecord {
         kind,
-        name: name.into(),
+        name: CallHandle::of(name).id,
         detail: None,
         begin,
         end,
@@ -551,7 +553,7 @@ proptest! {
         let drained = ring.drain();
         let mut got = std::collections::HashMap::<usize, (u64, f64)>::new();
         for r in &drained {
-            let sig = names.iter().position(|n| **n == *r.name).expect("known name");
+            let sig = names.iter().position(|n| CallHandle::of(n).id == r.name).expect("known name");
             let e = got.entry(sig).or_default();
             e.0 += r.event_count();
             e.1 += r.busy_total();
@@ -705,7 +707,10 @@ fn million_event_run_stays_under_cap_and_conserves() {
     let mut count_per_sig = [0u64; 3];
     let mut total_per_sig = [0.0f64; 3];
     for r in &drained {
-        let sig = names.iter().position(|n| **n == *r.name).unwrap();
+        let sig = names
+            .iter()
+            .position(|n| CallHandle::of(n).id == r.name)
+            .unwrap();
         count_per_sig[sig] += r.event_count();
         total_per_sig[sig] += r.busy_total();
     }
@@ -821,6 +826,162 @@ mod otlp_props {
             // launch, so compaction can only shrink these
             prop_assert!(stats.spans as u64 <= ring.captured());
             prop_assert!(stats.links <= launches);
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Readers and validators never panic on malformed input
+// ---------------------------------------------------------------------
+
+/// Valid documents the mutation property starts from: two ranks' XML logs
+/// (trace included: a compaction summary, a launch/kernel pair with a
+/// kernel symbol, a host-idle interval, and an epoch on rank 1), plus the
+/// Chrome trace and (with `otlp`) OTLP renderings of the same logs.
+fn mutation_seeds() -> (Vec<String>, Vec<String>) {
+    let logs: Vec<String> = (0..2usize)
+        .map(|r| {
+            let mut stats = RunningStats::new();
+            stats.record(0.5);
+            stats.record(1.25);
+            let profile = RankProfile {
+                rank: r,
+                nranks: 2,
+                host: format!("dirac{r:02}"),
+                command: "./md -i <mdin> & \"x\"".to_owned(),
+                wallclock: 12.5,
+                regions: vec!["<program>".to_owned(), "pme".to_owned()],
+                entries: vec![
+                    ProfileEntry {
+                        name: "cudaMemcpy(D2H)".to_owned(),
+                        detail: None,
+                        bytes: 4096,
+                        region: 1,
+                        stats,
+                    },
+                    ProfileEntry {
+                        name: "@CUDA_EXEC_STRM00".to_owned(),
+                        detail: Some("nonbond<T>".to_owned()),
+                        bytes: 0,
+                        region: 0,
+                        stats,
+                    },
+                ],
+                dropped_events: 3,
+                monitor: Default::default(),
+            };
+            let e = r as f64 * 0.5;
+            let ring = TraceRing::with_policy(64, 1, CompactPolicy::with_high_water(4));
+            for i in 0..6 {
+                let b = e + i as f64 * 0.25;
+                ring.push(trace_rec(
+                    TraceKind::Call,
+                    "cudaMemcpy(H2D)",
+                    b,
+                    b + 0.125,
+                    None,
+                    0,
+                ));
+            }
+            ring.push(trace_rec(
+                TraceKind::Call,
+                "cudaLaunch",
+                e + 1.5,
+                e + 1.625,
+                None,
+                7,
+            ));
+            let mut exec = trace_rec(
+                TraceKind::KernelExec,
+                "@CUDA_EXEC_STRM00",
+                e + 1.75,
+                e + 2.0,
+                Some(0),
+                7,
+            );
+            exec.detail = Some(CallHandle::of("nonbond<T>").id);
+            ring.push(exec);
+            ring.push(trace_rec(
+                TraceKind::HostIdle,
+                "@CUDA_HOST_IDLE",
+                e + 2.0,
+                e + 2.5,
+                None,
+                0,
+            ));
+            Export::from_profile(profile)
+                .with_trace(ring.drain())
+                .with_epoch(e)
+                .to(Xml)
+                .expect("profile present")
+        })
+        .collect();
+    let export = export_from_xml(&logs).expect("seed logs parse");
+    let mut docs = vec![export.to(ChromeTrace).expect("seed chrome trace")];
+    #[cfg(feature = "otlp")]
+    docs.push(export.to(ipm_repro::ipm::Otlp).expect("seed OTLP"));
+    (logs, docs)
+}
+
+/// Truncate `doc` at the char boundary at or below `cut` (a fraction of
+/// its length; `None` keeps it whole), then overwrite ASCII bytes at the given positions with
+/// bytes drawn from a structurally interesting alphabet. Only ASCII is
+/// ever replaced by ASCII, so the result stays valid UTF-8.
+fn mutate(doc: &str, cut: Option<f64>, subs: &[(u64, u8)]) -> String {
+    const ALPHABET: &[u8] = b"\"<>/={}[],:.-+0123456789eE \nNaInf\\xq";
+    let mut end = cut.map_or(doc.len(), |c| (doc.len() as f64 * c) as usize);
+    while !doc.is_char_boundary(end) {
+        end -= 1;
+    }
+    let mut bytes = doc.as_bytes()[..end].to_vec();
+    if !bytes.is_empty() {
+        for &(pos, pick) in subs {
+            let i = (pos % bytes.len() as u64) as usize;
+            if bytes[i].is_ascii() {
+                bytes[i] = ALPHABET[pick as usize % ALPHABET.len()];
+            }
+        }
+    }
+    String::from_utf8(bytes).expect("ASCII-for-ASCII substitution keeps UTF-8")
+}
+
+/// Run `f`, turning a panic into a property failure naming the input.
+fn no_panic(what: &str, doc: &str, f: impl FnOnce()) -> Result<(), TestCaseError> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
+        Ok(()) => Ok(()),
+        Err(_) => Err(TestCaseError::fail(format!(
+            "{what} panicked on mutant:\n{doc}"
+        ))),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2048))]
+    /// Every reader and validator degrades to `Err` — never a panic — on a
+    /// truncated or byte-substituted document: the XML readers (profile,
+    /// trace, banner, the `ipm_parse` loader and its Chrome rendering) on
+    /// mutated logs, and the Chrome / OTLP validators on every mutated JSON
+    /// document.
+    #[test]
+    fn parsers_never_panic_on_mutated_documents(
+        which in 0usize..2,
+        cut in prop::option::of(0.0f64..1.0),
+        subs in prop::collection::vec((any::<u64>(), any::<u8>()), 0..6),
+    ) {
+        let (logs, docs) = mutation_seeds();
+        let xml = mutate(&logs[which], cut, &subs);
+        no_panic("from_xml", &xml, || drop(from_xml(&xml)))?;
+        no_panic("trace_from_xml", &xml, || drop(trace_from_xml(&xml)))?;
+        no_panic("banner_from_xml", &xml, || drop(banner_from_xml(&xml)))?;
+        let pair = vec![xml.clone(), logs[1 - which].clone()];
+        no_panic("export_from_xml", &xml, || drop(export_from_xml(&pair)))?;
+        no_panic("chrome_trace_from_xml", &xml, || drop(chrome_trace_from_xml(&pair)))?;
+
+        for doc in &docs {
+            let json = mutate(doc, cut, &subs);
+            no_panic("validate_chrome_trace", &json, || drop(validate_chrome_trace(&json)))?;
+            #[cfg(feature = "otlp")]
+            no_panic("validate_otlp", &json, || drop(ipm_repro::ipm::validate_otlp(&json)))?;
         }
     }
 }
