@@ -3,9 +3,11 @@
 //! `CallId` path vs. the legacy string-keyed path, plus the steady-state
 //! heap-allocation count per recorded call.
 //!
-//! Both paths run the *identical* `wrap_call` anatomy and differ only in
-//! the sink behind it:
+//! All three paths run the *identical* `wrap_call` anatomy and differ only
+//! in the sink behind it:
 //!
+//! * **null** — [`NullSink`]: the wrapper skeleton alone, the reference
+//!   the interned path is normalized by;
 //! * **interned** — [`Ipm`] as [`MonitorSink`]: `SigKey` built from the
 //!   interned [`CallHandle`], deposited into the calling thread's delta
 //!   cell (no shared lock, no allocation in steady state);
@@ -16,13 +18,15 @@
 //!
 //! The report is written to `BENCH_wrapper.json` at the workspace root.
 //! With `IPM_BENCH_SMOKE=1` the run additionally gates against the
-//! *committed* report: if interned throughput regresses by more than
-//! `IPM_BENCH_TOLERANCE` (default 0.2, i.e. 20%) the process exits
+//! *committed* report: if `interned_over_null` (interned throughput over
+//! null-sink throughput in the same round, median over rounds, so the
+//! host's speed cancels out) falls more than `IPM_BENCH_TOLERANCE`
+//! (default 0.2, i.e. 20%) below the committed ratio, the process exits
 //! non-zero — the CI bench-smoke step. Smoke runs never rewrite the
 //! committed baseline.
 
 use ipm_core::{Ipm, IpmConfig, LegacyMirror};
-use ipm_interpose::{wrap_call, CallHandle, MonitorSink};
+use ipm_interpose::{wrap_call, CallHandle, MonitorSink, NullSink};
 use ipm_sim_core::SimClock;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::hint::black_box;
@@ -140,10 +144,11 @@ fn steady_state_allocs_per_call(clock: &SimClock, sink: &dyn MonitorSink) -> f64
     (ALLOCS.load(Ordering::SeqCst) - before) as f64 / CALLS as f64
 }
 
-fn read_committed_throughput(path: &str) -> Option<f64> {
+/// A top-level number from the committed report.
+fn read_committed(path: &str, field: &str) -> Option<f64> {
     let text = std::fs::read_to_string(path).ok()?;
-    let key = "\"interned_calls_per_sec\":";
-    let at = text.find(key)? + key.len();
+    let key = format!("\"{field}\":");
+    let at = text.find(&key)? + key.len();
     let rest = text[at..].trim_start();
     let end = rest.find([',', '\n', '}'])?;
     rest[..end].trim().parse().ok()
@@ -151,7 +156,7 @@ fn read_committed_throughput(path: &str) -> Option<f64> {
 
 fn main() {
     const PER_THREAD: u64 = 500_000;
-    const ROUNDS: usize = 3;
+    const ROUNDS: usize = 5;
     // recorder threads model concurrent monitored streams (ranks/threads
     // on a node); contention on the legacy global mutex is part of what
     // the refactor removes, so the count is fixed, not core-derived
@@ -166,19 +171,29 @@ fn main() {
     let ipm = Ipm::new(clock.clone(), IpmConfig::default().without_tracing());
     let legacy = LegacySink::new();
 
+    let mut null = 0.0f64;
     let mut interned = 0.0f64;
     let mut string_keyed = 0.0f64;
+    let mut over_null = Vec::with_capacity(ROUNDS);
     for _ in 0..ROUNDS {
         string_keyed = string_keyed.max(throughput(threads, PER_THREAD, &clock, &legacy));
-        interned = interned.max(throughput(threads, PER_THREAD, &clock, &*ipm));
+        let n = throughput(threads, PER_THREAD, &clock, &NullSink);
+        let i = throughput(threads, PER_THREAD, &clock, &*ipm);
+        null = null.max(n);
+        interned = interned.max(i);
+        over_null.push(i / n);
     }
     let speedup = interned / string_keyed;
+    // paired within a round so the host's drift cancels, and the median
+    // over rounds so one descheduled round cannot move the gate
+    over_null.sort_by(f64::total_cmp);
+    let interned_over_null = over_null[ROUNDS / 2];
 
     let allocs_interned = steady_state_allocs_per_call(&clock, &*ipm);
     let allocs_legacy = steady_state_allocs_per_call(&clock, &legacy);
 
     let json = format!(
-        "{{\n  \"threads\": {threads},\n  \"calls_per_thread\": {PER_THREAD},\n  \"legacy_calls_per_sec\": {string_keyed:.0},\n  \"interned_calls_per_sec\": {interned:.0},\n  \"speedup\": {speedup:.2},\n  \"steady_state_allocs_per_call\": {{\"legacy\": {allocs_legacy:.2}, \"interned\": {allocs_interned:.2}}}\n}}\n"
+        "{{\n  \"threads\": {threads},\n  \"calls_per_thread\": {PER_THREAD},\n  \"null_calls_per_sec\": {null:.0},\n  \"legacy_calls_per_sec\": {string_keyed:.0},\n  \"interned_calls_per_sec\": {interned:.0},\n  \"interned_over_null\": {interned_over_null:.3},\n  \"speedup\": {speedup:.2},\n  \"steady_state_allocs_per_call\": {{\"legacy\": {allocs_legacy:.2}, \"interned\": {allocs_interned:.2}}}\n}}\n"
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_wrapper.json");
     let smoke = std::env::var("IPM_BENCH_SMOKE").is_ok_and(|v| v == "1");
@@ -197,12 +212,13 @@ fn main() {
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(0.2);
-        if let Some(committed) = read_committed_throughput(path) {
+        if let Some(committed) = read_committed(path, "interned_over_null") {
             let floor = committed * (1.0 - tolerance);
             assert!(
-                interned >= floor,
-                "interned record path regressed: {interned:.0} calls/s vs committed \
-                 {committed:.0} (floor {floor:.0} at tolerance {tolerance})"
+                interned_over_null >= floor,
+                "interned record path regressed: {interned_over_null:.3} of null-sink \
+                 throughput vs committed {committed:.3} (floor {floor:.3} at tolerance \
+                 {tolerance})"
             );
         } else {
             eprintln!("no committed BENCH_wrapper.json to gate against; skipping");

@@ -18,7 +18,7 @@
 
 use crate::ktt::{CompletedKernel, KttCheckPolicy};
 use crate::monitor::Ipm;
-use crate::sig::EventSignature;
+use crate::sig::exec_stream_name;
 use ipm_gpu_sim::CudaApi;
 use ipm_interpose::{site, wrap_call, wrap_call_sized, CallHandle, CallId};
 use parking_lot::Mutex;
@@ -169,7 +169,7 @@ impl FacadeCore {
             .exec_ids
             .lock()
             .entry(stream)
-            .or_insert_with(|| CallHandle::of(&EventSignature::exec_stream_name(stream)).id)
+            .or_insert_with(|| CallHandle::of(&exec_stream_name(stream)).id)
     }
 
     /// Drain any in-flight kernel timings (call before producing the

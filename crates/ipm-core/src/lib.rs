@@ -89,7 +89,7 @@ pub use papi::{BoundResource, CounterRow, GpuCounterReport};
 pub use parse::otlp_from_xml;
 pub use parse::{banner_from_xml, chrome_trace_from_xml, cluster_banner_from_xml};
 pub use profile::{classify, EventFamily, MonitorInfo, ProfileEntry, RankProfile};
-pub use sig::{EventSignature, SigKey};
+pub use sig::{exec_stream_name, SigKey};
 pub use table::PerfTable;
 pub use timeline::render_timeline;
 pub use trace::{TraceCounters, TraceKind, TraceRank, TraceRecord, TraceRing};

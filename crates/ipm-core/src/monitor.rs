@@ -9,11 +9,11 @@
 use crate::compact::CompactPolicy;
 use crate::compat::LegacyMirror;
 use crate::ktt::{Ktt, KttCheckPolicy};
-use crate::profile::{classify, EventFamily, MonitorInfo, ProfileEntry, RankProfile};
+use crate::profile::{classify, EventFamily, MonitorInfo, RankProfile};
 use crate::sig::SigKey;
 use crate::table::PerfTable;
 use crate::trace::{TraceCounters, TraceKind, TraceRecord, TraceRing};
-use ipm_interpose::{site, CallHandle, CallId, MonitorSink};
+use ipm_interpose::{site, CallHandle, CallId, MonitorSink, NameTable};
 use ipm_sim_core::SimClock;
 use parking_lot::Mutex;
 use std::collections::HashMap;
@@ -50,8 +50,6 @@ pub struct IpmConfig {
     pub ktt_policy: KttCheckPolicy,
     /// Performance-table capacity (distinct signatures).
     pub table_capacity: usize,
-    /// Performance-table lock stripes.
-    pub table_shards: usize,
     /// Optional per-invocation correction subtracted from event-bracketed
     /// kernel durations (the paper's "future work" overhead correction,
     /// evaluated as an ablation of Table I).
@@ -83,7 +81,6 @@ impl Default for IpmConfig {
             ktt_capacity: 1024,
             ktt_policy: KttCheckPolicy::D2hOnly,
             table_capacity: crate::table::DEFAULT_CAPACITY,
-            table_shards: crate::table::DEFAULT_SHARDS,
             exec_time_correction: None,
             trace_capacity: crate::trace::DEFAULT_TRACE_CAPACITY,
             trace_shards: crate::trace::DEFAULT_TRACE_SHARDS,
@@ -223,7 +220,7 @@ pub struct Ipm {
     table: PerfTable,
     ktt: Mutex<Ktt>,
     region: AtomicU16,
-    regions: Mutex<Vec<String>>,
+    regions: Mutex<Regions>,
     meta: Mutex<Meta>,
     start: f64,
     /// Cluster clock-alignment instant (first `MPI_Init` return on this
@@ -247,6 +244,14 @@ pub struct Ipm {
     mirror: OnceLock<Arc<LegacyMirror>>,
 }
 
+/// User regions (IPM's `MPI_Pcontrol` regions), which nest.
+struct Regions {
+    /// Region names; index 0 is the whole program.
+    names: Vec<String>,
+    /// The regions enclosing the active one, innermost last.
+    enclosing: Vec<u16>,
+}
+
 #[derive(Clone, Debug)]
 struct Meta {
     rank: usize,
@@ -260,10 +265,13 @@ impl Ipm {
     pub fn new(clock: SimClock, cfg: IpmConfig) -> Arc<Self> {
         let start = clock.now();
         Arc::new(Self {
-            table: PerfTable::with_shape(cfg.table_capacity, cfg.table_shards),
+            table: PerfTable::with_capacity(cfg.table_capacity),
             ktt: Mutex::new(Ktt::new(cfg.ktt_capacity)),
             region: AtomicU16::new(0),
-            regions: Mutex::new(vec!["<program>".to_owned()]),
+            regions: Mutex::new(Regions {
+                names: vec!["<program>".to_owned()],
+                enclosing: Vec::new(),
+            }),
             meta: Mutex::new(Meta {
                 rank: 0,
                 nranks: 1,
@@ -306,11 +314,6 @@ impl Ipm {
     /// The kernel timing table (facades lock it around launches/sweeps).
     pub(crate) fn ktt(&self) -> &Mutex<Ktt> {
         &self.ktt
-    }
-
-    /// Direct table access (reports, tests).
-    pub fn table(&self) -> &PerfTable {
-        &self.table
     }
 
     /// The one signature-construction site of the record path: every
@@ -494,10 +497,11 @@ impl Ipm {
         // baseline (which would underflow the unsigned subtractions).
         let mut snap = self.snap.lock();
         let mut totals: HashMap<EventFamily, (u64, u64, f64)> = HashMap::new();
-        for (sig, stats) in self.table.snapshot() {
-            let e = totals.entry(classify(&sig.name)).or_default();
+        let names = NameTable::global();
+        for (key, stats) in self.table.entries() {
+            let e = totals.entry(classify(&names.name(key.id))).or_default();
             e.0 += stats.count;
-            e.1 += sig.bytes * stats.count;
+            e.1 += key.bytes * stats.count;
             e.2 += stats.total;
         }
         let now = self.clock.now();
@@ -552,20 +556,23 @@ impl Ipm {
     /// Regions of the same name share an id.
     pub fn region_enter(&self, name: &str) -> u16 {
         let mut regions = self.regions.lock();
-        let id = match regions.iter().position(|r| r == name) {
+        let id = match regions.names.iter().position(|r| r == name) {
             Some(i) => i as u16,
             None => {
-                regions.push(name.to_owned());
-                (regions.len() - 1) as u16
+                regions.names.push(name.to_owned());
+                (regions.names.len() - 1) as u16
             }
         };
+        regions.enclosing.push(self.region.load(Ordering::Relaxed));
         self.region.store(id, Ordering::Relaxed);
         id
     }
 
-    /// Leave the current region (back to the whole-program region).
+    /// Leave the current region, back to the one enclosing it (the
+    /// whole-program region at top level, even for an unbalanced exit).
     pub fn region_exit(&self) {
-        self.region.store(0, Ordering::Relaxed);
+        let outer = self.regions.lock().enclosing.pop().unwrap_or(0);
+        self.region.store(outer, Ordering::Relaxed);
     }
 
     /// The currently active region id.
@@ -578,25 +585,14 @@ impl Ipm {
     /// timing is on.
     pub fn profile(&self) -> RankProfile {
         let meta = self.meta.lock().clone();
-        let entries = self
-            .table
-            .snapshot()
-            .into_iter()
-            .map(|(sig, stats)| ProfileEntry {
-                name: sig.name.to_string(),
-                detail: sig.detail.as_ref().map(|d| d.to_string()),
-                bytes: sig.bytes,
-                region: sig.region,
-                stats,
-            })
-            .collect();
+        let entries = self.table.snapshot();
         RankProfile {
             rank: meta.rank,
             nranks: meta.nranks,
             host: meta.host,
             command: meta.command,
             wallclock: self.clock.now() - self.start,
-            regions: self.regions.lock().clone(),
+            regions: self.regions.lock().names.clone(),
             entries,
             dropped_events: self.table.overflow() + self.ktt.lock().dropped(),
             monitor: self.monitor_info(),
@@ -684,6 +680,20 @@ mod tests {
             .collect();
         assert_eq!(by_region.len(), 2);
         assert!(by_region.contains(&0) && by_region.contains(&1));
+    }
+
+    #[test]
+    fn region_exit_returns_to_the_enclosing_region() {
+        let m = ipm();
+        let a = m.region_enter("a");
+        m.region_enter("b");
+        m.region_exit();
+        assert_eq!(m.current_region(), a);
+        m.region_exit();
+        assert_eq!(m.current_region(), 0);
+        // an unbalanced exit at top level stays in the program region
+        m.region_exit();
+        assert_eq!(m.current_region(), 0);
     }
 
     #[test]

@@ -5,53 +5,48 @@
 //! The real IPM uses a fixed-size open-addressing table so monitoring
 //! never allocates unboundedly on the hot path; we keep that property with
 //! a **capacity cap** (overflowing signatures are counted, not stored) and
-//! two layers of concurrency structure:
+//! two layers:
 //!
 //! * **Per-thread delta cells**: the record path ([`PerfTable::update_key`])
 //!   deposits into a cell owned by the calling thread — an uncontended
 //!   private mutex around a small [`SigKey`] → [`RunningStats`] map whose
 //!   capacity survives flushes, so a steady-state recorded call performs
 //!   no shared-lock acquisition and no heap allocation.
-//! * **Lock-striped shards**: every read path first *flushes* the delta
-//!   cells into the shared shards (where the capacity cap is enforced),
-//!   then reads. Flushing drains each cell, so no observation is ever
-//!   counted twice, and cells are registered in the table so no
-//!   observation is lost when a thread exits.
+//! * **One merged map**: every read path takes the merged lock, drains the
+//!   delta cells into the map under it (where the capacity cap is exact),
+//!   and reads under that same lock. Flushing drains each cell, so no
+//!   observation is counted twice; the table owns every cell, so no
+//!   observation is lost when a thread exits; and because a concurrent
+//!   flusher holds the merged lock from drain to merge, a read sees every
+//!   update that completed before it.
 //!
-//! The striping degree is an explicit parameter because it is one of the
-//! ablations benchmarked in `ipm-bench`.
+//! Lock order is merged → cell registry → cell. The record path takes only
+//! its own cell lock, held just long enough for a flusher to drain it, so
+//! a recording thread never waits on a merge.
 
-use crate::sig::{EventSignature, SigKey};
+use crate::profile::ProfileEntry;
+use crate::sig::SigKey;
+use ipm_interpose::NameTable;
 use ipm_sim_core::RunningStats;
 use std::cell::RefCell;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Weak};
 
-// Model-checking flavour: under `--cfg loom` the stripe/cell mutexes and
-// the len/overflow atomics become loom primitives so every interleaving of
-// the update/flush path is explored (see `tests/loom.rs`). The APIs are
-// identical.
+// Model-checking flavour: under `--cfg loom` the merged and cell mutexes
+// become loom primitives so every interleaving of the update/flush path is
+// explored (see `tests/loom.rs`). The APIs are identical.
 #[cfg(loom)]
-use loom::sync::atomic::{AtomicU64, Ordering};
-#[cfg(loom)]
-use loom::sync::Mutex;
+use loom::sync::{Mutex, MutexGuard};
 #[cfg(not(loom))]
-use parking_lot::Mutex;
-#[cfg(not(loom))]
-use std::sync::atomic::{AtomicU64, Ordering};
+use parking_lot::{Mutex, MutexGuard};
 
 /// Default maximum number of distinct signatures (mirrors IPM's
 /// `MAXSIZE_HASH`-style compile-time bound).
 pub const DEFAULT_CAPACITY: usize = 32 * 1024;
 
-/// Default number of lock stripes.
-pub const DEFAULT_SHARDS: usize = 16;
-
 /// One thread's private accumulator: deltas not yet merged into the
-/// shared shards. The mutex is uncontended in steady state (only the
-/// owning thread and an occasional flusher touch it).
+/// shared map. The mutex is uncontended in steady state (only the owning
+/// thread and an occasional flusher touch it).
 #[derive(Default)]
 struct DeltaCell {
     deltas: Mutex<HashMap<SigKey, RunningStats>>,
@@ -82,50 +77,40 @@ fn next_table_id() -> u64 {
     NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
 }
 
-/// Sharded, capacity-bounded statistics table with per-thread delta cells.
+/// The flushed, capacity-capped statistics.
+#[derive(Default)]
+struct Merged {
+    map: HashMap<SigKey, RunningStats>,
+    /// Observations dropped because the map was full.
+    overflow: u64,
+}
+
+/// Capacity-bounded statistics table with per-thread delta cells.
 pub struct PerfTable {
     /// Identity for the thread-local cell cache.
     id: u64,
-    shards: Box<[Mutex<HashMap<SigKey, RunningStats>>]>,
+    merged: Mutex<Merged>,
     /// Every delta cell ever handed to a thread. The table holds the
     /// strong reference, so a thread exiting never takes deltas with it.
     cells: Mutex<Vec<Arc<DeltaCell>>>,
-    /// Maximum total entries across all shards.
+    /// Maximum number of distinct signatures stored.
     capacity: usize,
-    /// Entries currently stored (approximate upper bound maintained
-    /// atomically; never undercounts).
-    len: AtomicU64,
-    /// Observations dropped because the table was full.
-    overflow: AtomicU64,
 }
 
 impl PerfTable {
-    /// Table with default capacity and striping.
+    /// Table with the default capacity.
     pub fn new() -> Self {
-        Self::with_shape(DEFAULT_CAPACITY, DEFAULT_SHARDS)
+        Self::with_capacity(DEFAULT_CAPACITY)
     }
 
-    /// Table with explicit capacity and stripe count (stripes are rounded
-    /// up to a power of two).
-    pub fn with_shape(capacity: usize, shards: usize) -> Self {
-        let shards = shards.max(1).next_power_of_two();
-        let vec: Vec<_> = (0..shards).map(|_| Mutex::new(HashMap::new())).collect();
+    /// Table storing at most `capacity` distinct signatures.
+    pub fn with_capacity(capacity: usize) -> Self {
         Self {
             id: next_table_id(),
-            shards: vec.into_boxed_slice(),
+            merged: Mutex::new(Merged::default()),
             cells: Mutex::new(Vec::new()),
             capacity,
-            len: AtomicU64::new(0),
-            overflow: AtomicU64::new(0),
         }
-    }
-
-    #[inline]
-    fn shard_for(&self, key: &SigKey) -> &Mutex<HashMap<SigKey, RunningStats>> {
-        let mut h = DefaultHasher::new();
-        key.hash(&mut h);
-        let idx = (h.finish() as usize) & (self.shards.len() - 1);
-        &self.shards[idx]
     }
 
     /// Run `f` against this thread's delta cell, creating and registering
@@ -179,47 +164,39 @@ impl PerfTable {
         });
     }
 
-    /// Merge every thread's pending deltas into the shared shards. All
-    /// read paths call this first, so reads observe every completed
-    /// `update_key`. Draining keeps each cell's map capacity, preserving
-    /// the no-allocation steady state.
-    fn flush_cells(&self) {
-        let cells: Vec<Arc<DeltaCell>> = self.cells.lock().iter().cloned().collect();
-        for cell in cells {
-            let drained: Vec<(SigKey, RunningStats)> = cell.deltas.lock().drain().collect();
-            for (key, stats) in drained {
-                self.merge(key, stats);
+    /// Take the merged lock, drain every thread's pending deltas into the
+    /// map, and hand back the guard so the caller reads under the lock
+    /// that covered its flush. Each cell lock is held only for its drain
+    /// into a local buffer, and draining keeps the cell map's capacity,
+    /// preserving the record path's no-allocation steady state.
+    fn flush_cells(&self) -> MutexGuard<'_, Merged> {
+        // speccheck: allow(lock-order) — merged → cell is the only nesting
+        let mut merged = self.merged.lock();
+        let mut drained = Vec::new();
+        for cell in self.cells.lock().iter() {
+            drained.extend(cell.deltas.lock().drain());
+        }
+        for (key, delta) in drained {
+            if let Some(stats) = merged.map.get_mut(&key) {
+                stats.merge(&delta);
+            } else if merged.map.len() >= self.capacity {
+                // a dropped delta counts all its observations as overflow
+                merged.overflow += delta.count;
+            } else {
+                merged.map.insert(key, delta);
             }
         }
-    }
-
-    /// Merge one flushed delta into its shard, enforcing the capacity cap
-    /// (a dropped delta counts all its observations as overflow).
-    fn merge(&self, key: SigKey, delta: RunningStats) {
-        let mut shard = self.shard_for(&key).lock();
-        if let Some(stats) = shard.get_mut(&key) {
-            stats.merge(&delta);
-            return;
-        }
-        if self.len.load(Ordering::Relaxed) as usize >= self.capacity {
-            self.overflow.fetch_add(delta.count, Ordering::Relaxed);
-            return;
-        }
-        self.len.fetch_add(1, Ordering::Relaxed);
-        shard.insert(key, delta);
+        merged
     }
 
     /// Look up the statistics for a signature.
-    pub fn get(&self, sig: &EventSignature) -> Option<RunningStats> {
-        self.flush_cells();
-        let key = sig.key();
-        self.shard_for(&key).lock().get(&key).copied()
+    pub fn get(&self, key: &SigKey) -> Option<RunningStats> {
+        self.flush_cells().map.get(key).copied()
     }
 
     /// Number of distinct signatures stored.
     pub fn len(&self) -> usize {
-        self.flush_cells();
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.flush_cells().map.len()
     }
 
     /// True when no events were recorded.
@@ -229,46 +206,42 @@ impl PerfTable {
 
     /// Observations dropped due to the capacity cap.
     pub fn overflow(&self) -> u64 {
-        self.flush_cells();
-        self.overflow.load(Ordering::Relaxed)
+        self.flush_cells().overflow
     }
 
-    /// Snapshot all entries with names resolved, deterministically ordered
-    /// by (name, bytes, region, detail). Used at report time; not a hot
-    /// path.
-    pub fn snapshot(&self) -> Vec<(EventSignature, RunningStats)> {
-        self.flush_cells();
-        let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            for (key, stats) in shard.lock().iter() {
-                out.push((key.resolve(), *stats));
-            }
-        }
-        out.sort_by(|(a, _), (b, _)| {
+    /// Every entry with its key unresolved, sorted by key, read under the
+    /// lock that covered its flush. The live-telemetry path: a periodic
+    /// sample turns no name back into a `String`.
+    pub fn entries(&self) -> Vec<(SigKey, RunningStats)> {
+        let mut out: Vec<(SigKey, RunningStats)> = self
+            .flush_cells()
+            .map
+            .iter()
+            .map(|(key, stats)| (*key, *stats))
+            .collect();
+        out.sort_unstable_by_key(|(key, _)| *key);
+        out
+    }
+
+    /// All entries with names resolved, deterministically ordered by
+    /// (name, bytes, region, detail). Used at report time; not a hot path.
+    pub fn snapshot(&self) -> Vec<ProfileEntry> {
+        let names = NameTable::global();
+        let mut out: Vec<ProfileEntry> = self
+            .entries()
+            .into_iter()
+            .map(|(key, stats)| ProfileEntry {
+                name: names.name(key.id).to_string(),
+                detail: key.detail.map(|d| names.name(d).to_string()),
+                bytes: key.bytes,
+                region: key.region,
+                stats,
+            })
+            .collect();
+        out.sort_by(|a, b| {
             (&a.name, a.bytes, a.region, &a.detail).cmp(&(&b.name, b.bytes, b.region, &b.detail))
         });
         out
-    }
-
-    /// Aggregate total time per *name* (summing over bytes/region/detail) —
-    /// the banner's view of the table.
-    pub fn totals_by_name(&self) -> Vec<(String, RunningStats)> {
-        let mut map: HashMap<String, RunningStats> = HashMap::new();
-        for (sig, stats) in self.snapshot() {
-            map.entry(sig.name.to_string()).or_default().merge(&stats);
-        }
-        let mut out: Vec<_> = map.into_iter().collect();
-        out.sort_by(|a, b| b.1.total.partial_cmp(&a.1.total).expect("finite totals"));
-        out
-    }
-
-    /// Sum of total durations over entries whose name satisfies `pred`.
-    pub fn time_where(&self, pred: impl Fn(&str) -> bool) -> f64 {
-        self.snapshot()
-            .iter()
-            .filter(|(s, _)| pred(&s.name))
-            .map(|(_, st)| st.total)
-            .sum()
     }
 }
 
@@ -287,10 +260,10 @@ mod tests {
     #[test]
     fn update_accumulates_per_signature() {
         let t = PerfTable::new();
-        let sig = EventSignature::call("cudaMemcpy(D2H)", 4096);
-        t.update_key(sig.key(), 1.0);
-        t.update_key(sig.key(), 3.0);
-        let stats = t.get(&sig).unwrap();
+        let key = SigKey::call("cudaMemcpy(D2H)", 4096);
+        t.update_key(key, 1.0);
+        t.update_key(key, 3.0);
+        let stats = t.get(&key).unwrap();
         assert_eq!(stats.count, 2);
         assert_eq!(stats.total, 4.0);
         assert_eq!(stats.min, 1.0);
@@ -300,59 +273,55 @@ mod tests {
     #[test]
     fn distinct_byte_counts_get_distinct_entries() {
         let t = PerfTable::new();
-        t.update_key(EventSignature::call("cudaMemcpy(H2D)", 100).key(), 0.1);
-        t.update_key(EventSignature::call("cudaMemcpy(H2D)", 200).key(), 0.2);
+        t.update_key(SigKey::call("cudaMemcpy(H2D)", 100), 0.1);
+        t.update_key(SigKey::call("cudaMemcpy(H2D)", 200), 0.2);
         assert_eq!(t.len(), 2);
-        // but the banner view merges them by name
-        let totals = t.totals_by_name();
-        assert_eq!(totals.len(), 1);
-        assert_eq!(totals[0].1.count, 2);
     }
 
     #[test]
     fn capacity_cap_counts_overflow() {
-        let t = PerfTable::with_shape(4, 2);
+        let t = PerfTable::with_capacity(4);
         for i in 0..10u64 {
-            t.update_key(EventSignature::call("x", i).key(), 0.1);
+            t.update_key(SigKey::call("x", i), 0.1);
         }
-        assert!(t.len() <= 4);
-        assert!(t.overflow() >= 6);
-        // existing entries still update after saturation
-        let first = EventSignature::call("x", 0);
-        if let Some(before) = t.get(&first) {
-            t.update_key(first.key(), 0.1);
-            assert_eq!(t.get(&first).unwrap().count, before.count + 1);
-        }
+        assert_eq!(t.len(), 4);
+        assert_eq!(t.overflow(), 6);
+        // stored entries still update after saturation
+        let stored = (0..10u64)
+            .map(|i| SigKey::call("x", i))
+            .find(|k| t.get(k).is_some())
+            .unwrap();
+        t.update_key(stored, 0.1);
+        assert_eq!(t.get(&stored).unwrap().count, 2);
+        assert_eq!(t.overflow(), 6);
     }
 
     #[test]
     fn reads_observe_deltas_still_resident_in_cells() {
         // no explicit flush API: every read path flushes implicitly
         let t = PerfTable::new();
-        t.update_key(EventSignature::call("MPI_Send", 8).key(), 1.0);
+        let key = SigKey::call("MPI_Send", 8);
+        t.update_key(key, 1.0);
         assert!(!t.is_empty());
         assert_eq!(t.len(), 1);
-        t.update_key(EventSignature::call("MPI_Send", 8).key(), 1.0);
-        assert_eq!(
-            t.get(&EventSignature::call("MPI_Send", 8)).unwrap().count,
-            2
-        );
+        t.update_key(key, 1.0);
+        assert_eq!(t.get(&key).unwrap().count, 2);
         let snap = t.snapshot();
         assert_eq!(snap.len(), 1);
-        assert_eq!(snap[0].1.count, 2);
+        assert_eq!(snap[0].stats.count, 2);
     }
 
     #[test]
     fn snapshot_order_is_deterministic() {
         let t = PerfTable::new();
-        t.update_key(EventSignature::call("zeta", 0).key(), 0.1);
-        t.update_key(EventSignature::call("alpha", 4).key(), 0.1);
-        t.update_key(EventSignature::call("alpha", 2).key(), 0.1);
-        t.update_key(EventSignature::call("alpha", 2).in_region(1).key(), 0.1);
+        t.update_key(SigKey::call("zeta", 0), 0.1);
+        t.update_key(SigKey::call("alpha", 4), 0.1);
+        t.update_key(SigKey::call("alpha", 2), 0.1);
+        t.update_key(SigKey::call("alpha", 2).in_region(1), 0.1);
         let names: Vec<(String, u64, u16)> = t
             .snapshot()
             .into_iter()
-            .map(|(s, _)| (s.name.to_string(), s.bytes, s.region))
+            .map(|e| (e.name, e.bytes, e.region))
             .collect();
         assert_eq!(
             names,
@@ -363,26 +332,9 @@ mod tests {
                 ("zeta".to_owned(), 0, 0),
             ]
         );
-    }
-
-    #[test]
-    fn totals_sorted_descending() {
-        let t = PerfTable::new();
-        t.update_key(EventSignature::call("small", 0).key(), 0.1);
-        t.update_key(EventSignature::call("big", 0).key(), 5.0);
-        t.update_key(EventSignature::call("mid", 0).key(), 1.0);
-        let names: Vec<_> = t.totals_by_name().into_iter().map(|(n, _)| n).collect();
-        assert_eq!(names, vec!["big", "mid", "small"]);
-    }
-
-    #[test]
-    fn time_where_filters_by_family() {
-        let t = PerfTable::new();
-        t.update_key(EventSignature::call("MPI_Send", 8).key(), 1.0);
-        t.update_key(EventSignature::call("MPI_Recv", 8).key(), 2.0);
-        t.update_key(EventSignature::call("cudaMemcpy(D2H)", 8).key(), 4.0);
-        assert_eq!(t.time_where(|n| n.starts_with("MPI_")), 3.0);
-        assert_eq!(t.time_where(|n| n.starts_with("cuda")), 4.0);
+        // the unresolved view is ordered too, by key
+        let keys: Vec<SigKey> = t.entries().into_iter().map(|(k, _)| k).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]));
     }
 
     #[test]
@@ -392,11 +344,11 @@ mod tests {
             .map(|k| {
                 let t = t.clone();
                 thread::spawn(move || {
-                    let sig = EventSignature::call("hot", 0);
-                    let own = EventSignature::call("own", k);
+                    let hot = SigKey::call("hot", 0);
+                    let own = SigKey::call("own", k);
                     for _ in 0..10_000 {
-                        t.update_key(sig.key(), 1e-6);
-                        t.update_key(own.key(), 1e-6);
+                        t.update_key(hot, 1e-6);
+                        t.update_key(own, 1e-6);
                     }
                 })
             })
@@ -404,15 +356,9 @@ mod tests {
         for th in threads {
             th.join().unwrap();
         }
-        assert_eq!(
-            t.get(&EventSignature::call("hot", 0)).unwrap().count,
-            80_000
-        );
+        assert_eq!(t.get(&SigKey::call("hot", 0)).unwrap().count, 80_000);
         for k in 0..8 {
-            assert_eq!(
-                t.get(&EventSignature::call("own", k)).unwrap().count,
-                10_000
-            );
+            assert_eq!(t.get(&SigKey::call("own", k)).unwrap().count, 10_000);
         }
         assert_eq!(t.overflow(), 0);
     }
@@ -425,30 +371,25 @@ mod tests {
         let h = {
             let t = t.clone();
             thread::spawn(move || {
-                t.update_key(EventSignature::call("MPI_Barrier", 0).key(), 0.5);
+                t.update_key(SigKey::call("MPI_Barrier", 0), 0.5);
             })
         };
         h.join().unwrap();
-        assert_eq!(
-            t.get(&EventSignature::call("MPI_Barrier", 0))
-                .unwrap()
-                .count,
-            1
-        );
+        assert_eq!(t.get(&SigKey::call("MPI_Barrier", 0)).unwrap().count, 1);
     }
 
     #[test]
     fn one_thread_feeding_two_tables_keeps_them_separate() {
         let a = PerfTable::new();
         let b = PerfTable::new();
-        let sig = EventSignature::call("cudaFree", 0);
-        a.update_key(sig.key(), 1.0);
-        b.update_key(sig.key(), 2.0);
-        a.update_key(sig.key(), 1.0);
-        assert_eq!(a.get(&sig).unwrap().count, 2);
-        assert_eq!(a.get(&sig).unwrap().total, 2.0);
-        assert_eq!(b.get(&sig).unwrap().count, 1);
-        assert_eq!(b.get(&sig).unwrap().total, 2.0);
+        let key = SigKey::call("cudaFree", 0);
+        a.update_key(key, 1.0);
+        b.update_key(key, 2.0);
+        a.update_key(key, 1.0);
+        assert_eq!(a.get(&key).unwrap().count, 2);
+        assert_eq!(a.get(&key).unwrap().total, 2.0);
+        assert_eq!(b.get(&key).unwrap().count, 1);
+        assert_eq!(b.get(&key).unwrap().total, 2.0);
     }
 
     #[test]
@@ -456,6 +397,5 @@ mod tests {
         let t = PerfTable::new();
         assert!(t.is_empty());
         assert!(t.snapshot().is_empty());
-        assert!(t.totals_by_name().is_empty());
     }
 }

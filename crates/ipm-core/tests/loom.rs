@@ -1,6 +1,6 @@
 //! Exhaustive schedule exploration of the two concurrency-critical monitor
-//! structures: the lock-striped trace ring and the perf-table stripe update
-//! path. Compiled (and run) only under `RUSTFLAGS="--cfg loom"`:
+//! structures: the lock-striped trace ring and the perf table's delta-cell
+//! flush. Compiled (and run) only under `RUSTFLAGS="--cfg loom"`:
 //!
 //! ```text
 //! RUSTFLAGS="--cfg loom" cargo test -p ipm-core --test loom --release
@@ -11,7 +11,7 @@
 //! reach is visited (up to `LOOM_MAX_ITERATIONS`), not a sampled handful.
 #![cfg(loom)]
 
-use ipm_core::{CompactPolicy, EventSignature, PerfTable, TraceKind, TraceRecord, TraceRing};
+use ipm_core::{CompactPolicy, PerfTable, SigKey, TraceKind, TraceRecord, TraceRing};
 use ipm_interpose::CallHandle;
 use loom::sync::Arc;
 use loom::thread;
@@ -166,7 +166,7 @@ fn trace_ring_compaction_races_writers_without_losing_accounting() {
 fn delta_cell_flush_races_recorders_without_losing_or_doubling() {
     loom::model(|| {
         let table = Arc::new(PerfTable::new());
-        let hot = EventSignature::call("cudaLaunch", 0);
+        let hot = SigKey::call("cudaLaunch", 0);
         let recorders: Vec<_> = (0..2)
             .map(|t| {
                 let table = Arc::clone(&table);
@@ -174,15 +174,15 @@ fn delta_cell_flush_races_recorders_without_losing_or_doubling() {
                     // two updates per thread: the second lands on a key the
                     // cell has already seen *unless* a racing flush drained
                     // it in between — both shapes are explored
-                    table.update_key(EventSignature::call("cudaLaunch", 0).key(), 1e-6);
-                    table.update_key(EventSignature::call("cudaMemcpy(H2D)", 64 * t).key(), 2e-6);
+                    table.update_key(SigKey::call("cudaLaunch", 0), 1e-6);
+                    table.update_key(SigKey::call("cudaMemcpy(H2D)", 64 * t), 2e-6);
                 })
             })
             .collect();
 
         // mid-flight flushing read, racing both recorders: it may observe
         // any prefix of the updates, but never a torn or doubled one
-        let mid: u64 = table.snapshot().iter().map(|(_, stats)| stats.count).sum();
+        let mid: u64 = table.snapshot().iter().map(|e| e.stats.count).sum();
         assert!(mid <= 4, "mid-flight snapshot invented {mid} observations");
 
         for h in recorders {
@@ -191,29 +191,51 @@ fn delta_cell_flush_races_recorders_without_losing_or_doubling() {
 
         // after the recorders retire, a flushing read recovers every
         // completed update exactly once — across cells *and* across the
-        // earlier drain (flushed deltas merged into shards stay there)
+        // earlier drain (flushed deltas merged into the map stay there)
         let hot_stats = table.get(&hot).unwrap();
         assert_eq!(hot_stats.count, 2, "hot-key delta lost or doubled");
         assert_eq!(hot_stats.total, 2e-6);
-        let total: u64 = table.snapshot().iter().map(|(_, stats)| stats.count).sum();
+        let total: u64 = table.snapshot().iter().map(|e| e.stats.count).sum();
         assert_eq!(total, 4, "flush lost or double-counted a delta cell");
         assert_eq!(table.overflow(), 0);
     });
 }
 
-/// The stripe update path: concurrent updates to one hot signature must
-/// merge (no lost counts), and the capacity-cap accounting must never store
-/// more than `capacity` entries no matter how len-check/insert interleave.
+/// Read-your-writes across concurrent flushers: the main thread records
+/// and then reads while an observer thread's flushing read races it. An
+/// observer that has drained the main thread's cell but not yet merged the
+/// delta must not hide it from the main thread's read (the flush holds the
+/// merged lock from drain to merge).
 #[test]
-fn perf_table_stripe_updates_merge_and_respect_capacity() {
+fn flushing_read_sees_updates_a_concurrent_flusher_has_drained() {
     loom::model(|| {
-        let table = Arc::new(PerfTable::with_shape(2, 1));
+        let table = Arc::new(PerfTable::with_capacity(8));
+        let observer = {
+            let table = Arc::clone(&table);
+            thread::spawn(move || {
+                table.snapshot();
+            })
+        };
+        table.update_key(SigKey::call("cudaLaunch", 0), 1e-6);
+        let seen: u64 = table.snapshot().iter().map(|e| e.stats.count).sum();
+        assert_eq!(seen, 1, "read missed an update a racing flusher drained");
+        observer.join().unwrap();
+    });
+}
+
+/// Concurrent updates to one hot signature must merge (no lost counts), and
+/// the capacity cap must be exact no matter how flushes interleave: the
+/// check and the insert run under one lock.
+#[test]
+fn perf_table_updates_merge_and_respect_capacity() {
+    loom::model(|| {
+        let table = Arc::new(PerfTable::with_capacity(2));
         let handles: Vec<_> = (0..2)
             .map(|t| {
                 let table = Arc::clone(&table);
                 thread::spawn(move || {
-                    table.update_key(EventSignature::call("hot", 0).key(), 1e-6);
-                    table.update_key(EventSignature::call("own", t).key(), 1e-6);
+                    table.update_key(SigKey::call("hot", 0), 1e-6);
+                    table.update_key(SigKey::call("own", t), 1e-6);
                 })
             })
             .collect();
@@ -221,18 +243,16 @@ fn perf_table_stripe_updates_merge_and_respect_capacity() {
             h.join().unwrap();
         }
 
-        let hot = table.get(&EventSignature::call("hot", 0)).unwrap();
+        let hot = table.get(&SigKey::call("hot", 0)).unwrap();
         assert_eq!(hot.count, 2, "hot-signature update lost");
-        // 3 distinct signatures offered into capacity 2. The cap is
-        // advisory under races (the len check and the insert are separate
-        // steps), so concurrent inserters may over-admit by at most one
-        // entry each — but no offer may vanish: entries stored plus
-        // overflowed updates must cover all 4 offers exactly.
-        assert!(table.len() <= 3);
+        // 3 distinct signatures offered into capacity 2: never more than 2
+        // stored, and no offer may vanish — entries stored plus overflowed
+        // updates must cover all 4 offers exactly.
+        assert!(table.len() <= 2);
         let stored_updates: u64 = [
-            table.get(&EventSignature::call("hot", 0)),
-            table.get(&EventSignature::call("own", 0)),
-            table.get(&EventSignature::call("own", 1)),
+            table.get(&SigKey::call("hot", 0)),
+            table.get(&SigKey::call("own", 0)),
+            table.get(&SigKey::call("own", 1)),
         ]
         .iter()
         .flatten()

@@ -317,15 +317,29 @@ mod tests {
 
     #[test]
     fn lock_order_lint_catches_nested_stripes() {
-        let text = "    fn update(&self) {\n\
-                    \x20       let mut shard = self.shards[0].lock();\n\
-                    \x20       let other = self.shards[1].lock();\n\
-                    \x20   }\n";
-        let files = vec![(
-            Role::LockDiscipline,
-            SourceFile::new("crates/ipm-core/src/table.rs", text),
-        )];
-        let diags = run(&[], &files);
-        assert_eq!(diags.iter().filter(|d| d.code == "lock-order").count(), 1);
+        let body = |waiver: &str| {
+            format!(
+                "    fn update(&self) {{\n\
+                 {waiver}\
+                 \x20       let mut shard = self.shards[0].lock();\n\
+                 \x20       let other = self.shards[1].lock();\n\
+                 \x20   }}\n"
+            )
+        };
+        let lock_order = |text: String| {
+            let files = vec![(
+                Role::LockDiscipline,
+                SourceFile::new("crates/ipm-core/src/table.rs", text),
+            )];
+            run(&[], &files)
+                .iter()
+                .filter(|d| d.code == "lock-order")
+                .count()
+        };
+        assert_eq!(lock_order(body("")), 1);
+        assert_eq!(
+            lock_order(body("        // speccheck: allow(lock-order)\n")),
+            0
+        );
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! Runs are single-rank so per-signature float accumulation order is the
 //! same on both sides (one thread-local delta cell, flushed once at
-//! profile time, merges into an empty shard — i.e. verbatim).
+//! profile time, merges into the empty map — i.e. verbatim).
 
 use ipm_repro::apps::{
     run_amber, run_cluster, run_hpl, run_paratec, AmberConfig, BlasBackend, ClusterConfig,

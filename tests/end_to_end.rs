@@ -132,7 +132,7 @@ fn trace_compaction_never_perturbs_the_profile() {
         assert_eq!(a.wallclock, b.wallclock);
         assert_eq!(a.regions, b.regions);
         // entry-for-entry equal perf tables (iteration order over the
-        // table's hash stripes is scheduling-dependent, so sort first)
+        // table's hash map is scheduling-dependent, so sort first)
         let sorted = |p: &ipm_repro::ipm::RankProfile| {
             let mut e = p.entries.clone();
             e.sort_by(|x, y| {

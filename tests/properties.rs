@@ -4,8 +4,8 @@ use ipm_repro::interpose::CallHandle;
 use ipm_repro::ipm::parse::export_from_xml;
 use ipm_repro::ipm::{
     banner_from_xml, chrome_trace_from_xml, from_xml, merge_runs, to_xml, trace_from_xml,
-    validate_chrome_trace, ChromeTrace, CompactPolicy, EventSignature, Export, PerfTable,
-    ProfileEntry, RankProfile, TraceKind, TraceRank, TraceRecord, TraceRing, Xml,
+    validate_chrome_trace, ChromeTrace, CompactPolicy, Export, PerfTable, ProfileEntry,
+    RankProfile, SigKey, TraceKind, TraceRank, TraceRecord, TraceRing, Xml,
 };
 use ipm_repro::numlib::{blaskernels, fftkernels, Complex64, FftDirection, Transpose};
 use ipm_repro::sim::{RunningStats, SimClock, SimRng};
@@ -29,14 +29,14 @@ proptest! {
         let mut model: std::collections::HashMap<(u8, u64, u16), RunningStats> =
             std::collections::HashMap::new();
         for &(n, bytes, region, dur) in &updates {
-            let sig = EventSignature::call(names[n as usize], bytes).in_region(region);
-            table.update_key(sig.key(), dur);
+            let key = SigKey::call(names[n as usize], bytes).in_region(region);
+            table.update_key(key, dur);
             model.entry((n, bytes, region)).or_default().record(dur);
         }
         prop_assert_eq!(table.len(), model.len());
         for ((n, bytes, region), want) in model {
-            let sig = EventSignature::call(names[n as usize], bytes).in_region(region);
-            let got = table.get(&sig).expect("entry exists");
+            let key = SigKey::call(names[n as usize], bytes).in_region(region);
+            let got = table.get(&key).expect("entry exists");
             prop_assert_eq!(got.count, want.count);
             prop_assert!((got.total - want.total).abs() < 1e-9);
             prop_assert_eq!(got.min, want.min);
@@ -44,14 +44,15 @@ proptest! {
         }
     }
 
-    /// Capacity caps are respected for arbitrary shapes.
+    /// Capacity caps are exact: the table fills to the cap, and every
+    /// offer beyond it is counted as overflow.
     #[test]
-    fn perf_table_never_exceeds_capacity(cap in 1usize..32, shards in 1usize..8, n in 0u64..200) {
-        let table = PerfTable::with_shape(cap, shards);
+    fn perf_table_never_exceeds_capacity(cap in 1usize..32, n in 0u64..200) {
+        let table = PerfTable::with_capacity(cap);
         for i in 0..n {
-            table.update_key(EventSignature::call("x", i).key(), 0.5);
+            table.update_key(SigKey::call("x", i), 0.5);
         }
-        prop_assert!(table.len() <= cap);
+        prop_assert_eq!(table.len(), (n as usize).min(cap));
         prop_assert_eq!(table.len() as u64 + table.overflow(), n);
     }
 }
