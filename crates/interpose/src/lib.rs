@@ -28,6 +28,6 @@ pub mod registry;
 pub mod spec;
 pub mod wrap;
 
-pub use registry::{CallHandle, CallId, CallSite, NameTable, Registry};
+pub use registry::{CallHandle, CallId, CallSite, NameTable, Names, Registry};
 pub use spec::{ApiFamily, BlockingClass, CallSpec};
 pub use wrap::{wrap_call, wrap_call_sized, MonitorSink, NullSink};

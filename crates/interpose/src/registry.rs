@@ -215,6 +215,14 @@ impl NameTable {
         inner.rows[id.0 as usize].name.clone()
     }
 
+    /// Every name interned so far, indexed by id: a renderer resolves a
+    /// whole trace against one snapshot instead of taking the table lock
+    /// once per record.
+    pub fn snapshot(&self) -> Names {
+        let inner = self.inner.read().expect("name table poisoned");
+        Names(inner.rows.iter().map(|row| row.name.clone()).collect())
+    }
+
     /// The handle for an id this table issued.
     pub fn handle(&self, id: CallId) -> CallHandle {
         let inner = self.inner.read().expect("name table poisoned");
@@ -234,6 +242,17 @@ impl NameTable {
     /// Never true; for API completeness.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+/// A [`NameTable::snapshot`]: the names of every id issued before it was
+/// taken.
+pub struct Names(Vec<Arc<str>>);
+
+impl Names {
+    /// The name of `id`. Panics on an id issued after the snapshot.
+    pub fn get(&self, id: CallId) -> &str {
+        &self.0[id.0 as usize]
     }
 }
 
@@ -396,6 +415,11 @@ mod tests {
         // interning is idempotent
         assert_eq!(names.intern("cudaMemcpy(D2H)"), split);
         assert_eq!(&*names.name(split.id), "cudaMemcpy(D2H)");
+        // a snapshot resolves every id issued before it, spec rows included
+        let snap = names.snapshot();
+        assert_eq!(snap.get(split.id), "cudaMemcpy(D2H)");
+        assert_eq!(snap.get(idle.id), "@CUDA_HOST_IDLE");
+        assert_eq!(snap.get(CallId(0)), Registry::global().spec(CallId(0)).name);
     }
 
     #[test]

@@ -10,11 +10,12 @@
 //! resolved flow bindings) shared by tests and the `ipm_parse trace`
 //! subcommand.
 
-use crate::jsonw::{esc, parse_json, Json};
-use crate::trace::{TraceKind, TraceRank, TraceRecord};
-use ipm_gpu_sim::ProfKind;
-use ipm_interpose::NameTable;
-use std::collections::HashMap;
+use super::ExportRank;
+use crate::jsonw::{parse_json, quote_into, Json};
+use crate::trace::{TraceKind, TraceRecord};
+use ipm_gpu_sim::{ProfKind, ProfRecord};
+use ipm_interpose::{NameTable, Names};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt::Write as _;
 
 /// Microseconds for the `ts` field (Chrome's unit).
@@ -22,129 +23,160 @@ fn us(t: f64) -> f64 {
     t * 1e6
 }
 
-/// An interval destined for one lane.
-struct LaneSlice {
-    name: String,
+/// What a slice was built from, and so what its `args` show.
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    /// A trace record: its bytes (host lane only, when > 0), region and
+    /// compaction aggregate.
+    Record(&'a TraceRecord),
+    /// A profiler record: its device time.
+    Prof(&'a ProfRecord),
+}
+
+/// An interval destined for one lane, borrowing its name and args from the
+/// export source.
+struct LaneSlice<'a> {
+    name: &'a str,
     begin: f64,
     end: f64,
-    args: Vec<(&'static str, String)>,
+    src: Source<'a>,
     /// Flow id to terminate at this slice's begin (0 = none).
     flow_in: u64,
     /// Flow id to originate at this slice's begin (0 = none).
     flow_out: u64,
-    /// Compaction summary: emitted as a Chrome `X` (complete) event rather
-    /// than a `B`/`E` pair. Summaries span `first_begin..last_end` of an
-    /// interleaved subsequence (writers rotate ring stripes, each stripe
-    /// compacts its own subsequence), so two stripes' summaries can
-    /// *partially* overlap — something `B`/`E` nesting cannot express. An
-    /// `X` event carries its own `dur` and takes no part in the nesting
-    /// stack, so overlap is harmless.
-    summary: bool,
 }
 
-/// Emit one lane's slices: raw records as properly nested `B`/`E` pairs,
-/// summaries as self-contained `X` events (JSON object strings). Events
-/// are produced in `(begin, -end)` order and every event's `ts` is either
-/// the current slice's begin or a pending end ≤ it, so timestamps are
-/// non-decreasing even when summary spans partially overlap raw slices or
-/// each other.
-fn emit_lane(pid: usize, tid: u32, mut slices: Vec<LaneSlice>, out: &mut Vec<String>) {
-    slices.sort_by(|a, b| {
-        a.begin
-            .partial_cmp(&b.begin)
-            .expect("finite timestamps")
-            .then(b.end.partial_cmp(&a.end).expect("finite timestamps"))
-    });
-    // stack of pending end timestamps with their slice names
-    let mut stack: Vec<(f64, String)> = Vec::new();
-    let close = |stack: &mut Vec<(f64, String)>, upto: f64, out: &mut Vec<String>| {
-        while let Some((end, _)) = stack.last() {
-            if *end <= upto {
-                let (end, name) = stack.pop().expect("checked non-empty");
-                out.push(format!(
-                    "{{\"ph\":\"E\",\"name\":\"{}\",\"pid\":{},\"tid\":{},\"ts\":{}}}",
-                    esc(&name),
-                    pid,
-                    tid,
-                    us(end)
-                ));
-            } else {
-                break;
+impl<'a> LaneSlice<'a> {
+    fn record(t: &'a TraceRecord, name: &'a str, epoch: f64, flow_in: u64, flow_out: u64) -> Self {
+        LaneSlice {
+            name,
+            begin: t.begin - epoch,
+            end: t.end - epoch,
+            src: Source::Record(t),
+            flow_in,
+            flow_out,
+        }
+    }
+
+    fn write_args(&self, out: &mut String) {
+        out.push_str(",\"args\":{");
+        match self.src {
+            Source::Record(t) => {
+                if t.kind != TraceKind::KernelExec && t.bytes > 0 {
+                    let _ = write!(out, "\"bytes\":{},", t.bytes);
+                }
+                let _ = write!(out, "\"region\":{}", t.region);
+                // the aggregate, so Perfetto shows how many events a
+                // compacted slice stands for
+                if let Some(a) = t.agg {
+                    let _ = write!(
+                        out,
+                        ",\"count\":{},\"total_us\":{},\"min_us\":{},\"max_us\":{}",
+                        a.count,
+                        us(a.total),
+                        us(a.min),
+                        us(a.max)
+                    );
+                }
+            }
+            Source::Prof(p) => {
+                let _ = write!(out, "\"gputime_us\":{}", p.gputime * 1e6);
             }
         }
-    };
-    for s in slices {
-        close(&mut stack, s.begin, out);
-        if s.flow_in != 0 {
-            out.push(format!(
-                "{{\"ph\":\"f\",\"bp\":\"e\",\"cat\":\"launch\",\"name\":\"launch\",\"id\":{},\"pid\":{},\"tid\":{},\"ts\":{}}}",
-                s.flow_in, pid, tid, us(s.begin)
-            ));
-        }
-        if s.flow_out != 0 {
-            out.push(format!(
-                "{{\"ph\":\"s\",\"cat\":\"launch\",\"name\":\"launch\",\"id\":{},\"pid\":{},\"tid\":{},\"ts\":{}}}",
-                s.flow_out, pid, tid, us(s.begin)
-            ));
-        }
-        let mut args = String::new();
-        for (i, (k, v)) in s.args.iter().enumerate() {
-            if i > 0 {
-                args.push(',');
-            }
-            let _ = write!(args, "\"{}\":{}", k, v);
-        }
-        if s.summary {
-            out.push(format!(
-                "{{\"ph\":\"X\",\"name\":\"{}\",\"pid\":{},\"tid\":{},\"ts\":{},\"dur\":{},\"args\":{{{}}}}}",
-                esc(&s.name),
-                pid,
-                tid,
-                us(s.begin),
-                us(s.end - s.begin),
-                args
-            ));
+        out.push_str("}}");
+    }
+}
+
+/// The trace-event document being written, one event per line.
+struct Events {
+    out: String,
+    any: bool,
+}
+
+impl Events {
+    /// Open the next event with its phase and (when given) name.
+    fn open(&mut self, ph: &str, name: Option<&str>) -> &mut String {
+        self.out.push_str(if self.any {
+            ",\n{\"ph\":\""
         } else {
-            out.push(format!(
-                "{{\"ph\":\"B\",\"name\":\"{}\",\"pid\":{},\"tid\":{},\"ts\":{},\"args\":{{{}}}}}",
-                esc(&s.name),
-                pid,
-                tid,
-                us(s.begin),
-                args
-            ));
-            stack.push((s.end, s.name));
+            "{\"ph\":\""
+        });
+        self.any = true;
+        self.out.push_str(ph);
+        self.out.push('"');
+        if let Some(name) = name {
+            self.out.push_str(",\"name\":");
+            quote_into(&mut self.out, name);
         }
+        &mut self.out
     }
-    close(&mut stack, f64::INFINITY, out);
-}
 
-/// Append the aggregate fields of a summary record to a slice's args, so
-/// Perfetto shows how many events a compacted slice stands for.
-fn summary_args(t: &TraceRecord, args: &mut Vec<(&'static str, String)>) {
-    if let Some(a) = t.agg {
-        args.push(("count", a.count.to_string()));
-        args.push(("total_us", format!("{}", us(a.total))));
-        args.push(("min_us", format!("{}", us(a.min))));
-        args.push(("max_us", format!("{}", us(a.max))));
+    /// A `ph:"M"` metadata event labelling a process or thread.
+    fn meta(&mut self, pid: usize, tid: Option<u32>, which: &str, label: &str) {
+        let out = self.open("M", Some(which));
+        let _ = write!(out, ",\"pid\":{pid}");
+        if let Some(tid) = tid {
+            let _ = write!(out, ",\"tid\":{tid}");
+        }
+        out.push_str(",\"args\":{\"name\":");
+        quote_into(out, label);
+        out.push_str("}}");
     }
-}
 
-fn meta_event(pid: usize, tid: Option<u32>, which: &str, label: &str) -> String {
-    match tid {
-        Some(tid) => format!(
-            "{{\"ph\":\"M\",\"name\":\"{}\",\"pid\":{},\"tid\":{},\"args\":{{\"name\":\"{}\"}}}}",
-            which,
-            pid,
-            tid,
-            esc(label)
-        ),
-        None => format!(
-            "{{\"ph\":\"M\",\"name\":\"{}\",\"pid\":{},\"args\":{{\"name\":\"{}\"}}}}",
-            which,
-            pid,
-            esc(label)
-        ),
+    /// One lane's slices: raw records as properly nested `B`/`E` pairs,
+    /// summaries as self-contained `X` events. Events are produced in
+    /// `(begin, -end)` order and every event's `ts` is either the current
+    /// slice's begin or a pending end ≤ it, so timestamps are non-decreasing
+    /// even when summary spans partially overlap raw slices or each other.
+    fn lane(&mut self, pid: usize, tid: u32, mut slices: Vec<LaneSlice>) {
+        slices.sort_by(|a, b| {
+            a.begin
+                .partial_cmp(&b.begin)
+                .expect("finite timestamps")
+                .then(b.end.partial_cmp(&a.end).expect("finite timestamps"))
+        });
+        // stack of pending end timestamps with their slice names
+        let mut stack: Vec<(f64, &str)> = Vec::new();
+        for s in &slices {
+            self.close(pid, tid, &mut stack, s.begin);
+            for (ph, id) in [("f", s.flow_in), ("s", s.flow_out)] {
+                if id != 0 {
+                    let out = self.open(ph, None);
+                    let bp = if ph == "f" { ",\"bp\":\"e\"" } else { "" };
+                    let _ = write!(
+                        out,
+                        "{bp},\"cat\":\"launch\",\"name\":\"launch\",\"id\":{id},\"pid\":{pid},\"tid\":{tid},\"ts\":{}}}",
+                        us(s.begin)
+                    );
+                }
+            }
+            // A compaction summary is a Chrome `X` (complete) event, not a
+            // `B`/`E` pair. Summaries span `first_begin..last_end` of an
+            // interleaved subsequence (writers rotate ring stripes, each
+            // stripe compacts its own subsequence), so two stripes'
+            // summaries can *partially* overlap — something `B`/`E` nesting
+            // cannot express. An `X` event carries its own `dur` and takes
+            // no part in the nesting stack, so overlap is harmless.
+            let summary = matches!(s.src, Source::Record(t) if t.is_summary());
+            let out = self.open(if summary { "X" } else { "B" }, Some(s.name));
+            let _ = write!(out, ",\"pid\":{pid},\"tid\":{tid},\"ts\":{}", us(s.begin));
+            if summary {
+                let _ = write!(out, ",\"dur\":{}", us(s.end - s.begin));
+            } else {
+                stack.push((s.end, s.name));
+            }
+            s.write_args(out);
+        }
+        self.close(pid, tid, &mut stack, f64::INFINITY);
+    }
+
+    /// Emit the `E` of every pending slice ending at or before `upto`.
+    fn close(&mut self, pid: usize, tid: u32, stack: &mut Vec<(f64, &str)>, upto: f64) {
+        while let Some(&(end, name)) = stack.last().filter(|(end, _)| *end <= upto) {
+            stack.pop();
+            let out = self.open("E", Some(name));
+            let _ = write!(out, ",\"pid\":{pid},\"tid\":{tid},\"ts\":{}}}", us(end));
+        }
     }
 }
 
@@ -156,128 +188,87 @@ fn meta_event(pid: usize, tid: Option<u32>, which: &str, label: &str) -> String 
 /// summaries render as `X` (complete) events carrying their aggregate in
 /// `args`, since summaries from different ring stripes may partially
 /// overlap in time.
-pub(crate) fn chrome_trace_json(ranks: &[TraceRank]) -> String {
-    let names = NameTable::global();
-    let mut events: Vec<String> = Vec::new();
+pub(crate) fn chrome_trace_json(ranks: &[ExportRank]) -> String {
+    let names = NameTable::global().snapshot();
+    let mut events = Events {
+        out: String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n"),
+        any: false,
+    };
     for r in ranks {
-        let pid = r.rank;
-        let label = if r.host.is_empty() {
-            format!("rank {}", r.rank)
-        } else {
-            format!("rank {} ({})", r.rank, r.host)
-        };
-        events.push(meta_event(pid, None, "process_name", &label));
-        events.push(meta_event(pid, Some(0), "thread_name", "host"));
-
-        // Which correlation ids have a device-side slice to land on?
-        let use_prof = !r.prof.is_empty();
-        let mut device_corrs: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        if use_prof {
-            device_corrs.extend(r.prof.iter().filter(|p| p.corr != 0).map(|p| p.corr));
-        } else {
-            device_corrs.extend(
-                r.records
-                    .iter()
-                    .filter(|t| t.kind == TraceKind::KernelExec && t.corr != 0)
-                    .map(|t| t.corr),
-            );
-        }
-
-        // Host lane: wrapped calls + host-idle intervals.
-        let host_slices: Vec<LaneSlice> = r
-            .records
-            .iter()
-            .filter(|t| t.kind != TraceKind::KernelExec)
-            .map(|t| {
-                let mut args: Vec<(&'static str, String)> = Vec::new();
-                if t.bytes > 0 {
-                    args.push(("bytes", t.bytes.to_string()));
-                }
-                args.push(("region", t.region.to_string()));
-                summary_args(t, &mut args);
-                LaneSlice {
-                    name: names.name(t.name).to_string(),
-                    begin: t.begin - r.epoch,
-                    end: t.end - r.epoch,
-                    args,
-                    flow_in: 0,
-                    flow_out: if t.corr != 0 && device_corrs.contains(&t.corr) {
-                        t.corr
-                    } else {
-                        0
-                    },
-                    summary: t.is_summary(),
-                }
-            })
-            .collect();
-        emit_lane(pid, 0, host_slices, &mut events);
-
-        // Device lanes: one per stream, from the profiler ground truth when
-        // available, otherwise from KTT KernelExec records.
-        let mut lanes: HashMap<u32, Vec<LaneSlice>> = HashMap::new();
-        if use_prof {
-            for p in &r.prof {
-                let args = vec![("gputime_us", format!("{}", p.gputime * 1e6))];
-                lanes.entry(p.stream.0).or_default().push(LaneSlice {
-                    name: p.method.clone(),
-                    begin: p.start - r.epoch,
-                    end: p.start + p.gputime - r.epoch,
-                    args,
-                    flow_in: if p.kind == ProfKind::Kernel {
-                        p.corr
-                    } else {
-                        0
-                    },
-                    flow_out: 0,
-                    summary: false,
-                });
-            }
-        } else {
-            for t in r.records.iter().filter(|t| t.kind == TraceKind::KernelExec) {
-                let stream = t.stream.unwrap_or(0);
-                let name = names.name(t.detail.unwrap_or(t.name)).to_string();
-                let mut args = vec![("region", t.region.to_string())];
-                summary_args(t, &mut args);
-                lanes.entry(stream).or_default().push(LaneSlice {
-                    name,
-                    begin: t.begin - r.epoch,
-                    end: t.end - r.epoch,
-                    args,
-                    flow_in: t.corr,
-                    flow_out: 0,
-                    summary: t.is_summary(),
-                });
-            }
-        }
-        let mut stream_ids: Vec<u32> = lanes.keys().copied().collect();
-        stream_ids.sort_unstable();
-        for s in stream_ids {
-            let tid = 1 + s;
-            events.push(meta_event(
-                pid,
-                Some(tid),
-                "thread_name",
-                &format!("stream {s}"),
-            ));
-            emit_lane(
-                pid,
-                tid,
-                lanes.remove(&s).expect("key present"),
-                &mut events,
-            );
-        }
+        rank_events(r, &names, &mut events);
     }
-
-    let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n");
-    for (i, e) in events.iter().enumerate() {
-        out.push_str(e);
-        if i + 1 < events.len() {
-            out.push(',');
-        }
-        out.push('\n');
-    }
-    out.push_str("]}\n");
+    let mut out = events.out;
+    out.push_str(if events.any { "\n]}\n" } else { "]}\n" });
     out
+}
+
+fn rank_events(r: &ExportRank, names: &Names, events: &mut Events) {
+    let pid = r.rank;
+    let label = if r.host.is_empty() {
+        format!("rank {}", r.rank)
+    } else {
+        format!("rank {} ({})", r.rank, r.host)
+    };
+    events.meta(pid, None, "process_name", &label);
+    events.meta(pid, Some(0), "thread_name", "host");
+
+    // Which correlation ids have a device-side slice to land on?
+    let use_prof = !r.prof.is_empty();
+    let device_corrs: HashSet<u64> = if use_prof {
+        r.prof.iter().map(|p| p.corr).filter(|&c| c != 0).collect()
+    } else {
+        r.records
+            .iter()
+            .filter(|t| t.kind == TraceKind::KernelExec && t.corr != 0)
+            .map(|t| t.corr)
+            .collect()
+    };
+    // Host lane: wrapped calls + host-idle intervals.
+    let host_slices = r
+        .records
+        .iter()
+        .filter(|t| t.kind != TraceKind::KernelExec)
+        .map(|t| {
+            let flow_out = if t.corr != 0 && device_corrs.contains(&t.corr) {
+                t.corr
+            } else {
+                0
+            };
+            LaneSlice::record(t, names.get(t.name), r.epoch, 0, flow_out)
+        })
+        .collect();
+    events.lane(pid, 0, host_slices);
+
+    // Device lanes: one per stream, from the profiler ground truth when
+    // available, otherwise from KTT KernelExec records.
+    let mut lanes: BTreeMap<u32, Vec<LaneSlice>> = BTreeMap::new();
+    if use_prof {
+        for p in &r.prof {
+            lanes.entry(p.stream.0).or_default().push(LaneSlice {
+                name: &p.method,
+                begin: p.start - r.epoch,
+                end: p.start + p.gputime - r.epoch,
+                src: Source::Prof(p),
+                flow_in: if p.kind == ProfKind::Kernel {
+                    p.corr
+                } else {
+                    0
+                },
+                flow_out: 0,
+            });
+        }
+    } else {
+        for t in r.records.iter().filter(|t| t.kind == TraceKind::KernelExec) {
+            let name = names.get(t.detail.unwrap_or(t.name));
+            let slice = LaneSlice::record(t, name, r.epoch, t.corr, 0);
+            lanes.entry(t.stream.unwrap_or(0)).or_default().push(slice);
+        }
+    }
+    for (s, slices) in lanes {
+        let tid = 1 + s;
+        events.meta(pid, Some(tid), "thread_name", &format!("stream {s}"));
+        events.lane(pid, tid, slices);
+    }
 }
 
 /// Structural facts about a validated trace, for assertions and the CLI
@@ -451,7 +442,7 @@ mod tests {
     use super::*;
     use crate::compact::{CompactPolicy, TraceAgg};
     use crate::export::{ChromeTrace, Export};
-    use crate::trace::{TraceRing, DEFAULT_TRACE_SHARDS};
+    use crate::trace::{TraceRank, TraceRing, DEFAULT_TRACE_SHARDS};
     use ipm_gpu_sim::{ProfRecord, StreamId};
     use ipm_interpose::CallHandle;
 

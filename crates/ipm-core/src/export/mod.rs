@@ -93,16 +93,6 @@ impl ExportRank {
             profile: None,
         }
     }
-
-    fn trace_rank(&self) -> TraceRank {
-        TraceRank {
-            rank: self.rank,
-            host: self.host.clone(),
-            epoch: self.epoch,
-            records: self.records.clone(),
-            prof: self.prof.clone(),
-        }
-    }
 }
 
 /// The canonical view every exporter renders: per-rank data plus the few
@@ -138,11 +128,6 @@ impl ExportSource {
             .iter()
             .filter_map(|r| r.profile.clone())
             .collect()
-    }
-
-    /// Every rank as exporter trace input.
-    pub fn trace_ranks(&self) -> Vec<TraceRank> {
-        self.ranks.iter().map(ExportRank::trace_rank).collect()
     }
 
     fn require_profiles(&self) -> Result<Vec<RankProfile>, ExportError> {
@@ -230,7 +215,7 @@ impl Exporter for Xml {
                 .profile
                 .as_ref()
                 .ok_or(ExportError::MissingProfile { rank: r.rank })?;
-            out.push_str(&crate::xml::to_xml_with_trace_at(p, &r.records, r.epoch));
+            crate::xml::write_xml(&mut out, p, &r.records, r.epoch);
         }
         Ok(out)
     }
@@ -254,7 +239,7 @@ impl Exporter for ChromeTrace {
         if src.ranks.is_empty() {
             return Err(ExportError::NoRanks);
         }
-        Ok(chrome::chrome_trace_json(&src.trace_ranks()))
+        Ok(chrome::chrome_trace_json(&src.ranks))
     }
 }
 

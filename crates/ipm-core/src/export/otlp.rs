@@ -20,10 +20,10 @@
 //! mirroring [`super::validate_chrome_trace`].
 
 use super::{ExportRank, ExportSource};
-use crate::jsonw::{parse_json, quote, Json};
+use crate::jsonw::{parse_json, quote_into, Json};
 use crate::trace::{TraceKind, TraceRecord};
 use ipm_gpu_sim::ProfKind;
-use ipm_interpose::NameTable;
+use ipm_interpose::{NameTable, Names};
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 
@@ -32,75 +32,50 @@ fn ns(t: f64, epoch: f64) -> i64 {
     ((t - epoch) * 1e9).round() as i64
 }
 
-fn attr_str(key: &str, val: &str) -> String {
-    format!(
-        "{{\"key\":{},\"value\":{{\"stringValue\":{}}}}}",
-        quote(key),
-        quote(val)
-    )
+/// An OTLP `attributes` array being appended to a document.
+struct Attrs<'o> {
+    out: &'o mut String,
+    any: bool,
 }
 
-fn attr_int(key: &str, val: u64) -> String {
-    format!(
-        "{{\"key\":{},\"value\":{{\"intValue\":\"{}\"}}}}",
-        quote(key),
-        val
-    )
-}
-
-fn attr_f64(key: &str, val: f64) -> String {
-    format!(
-        "{{\"key\":{},\"value\":{{\"doubleValue\":{}}}}}",
-        quote(key),
-        val
-    )
-}
-
-/// Compaction aggregate attributes, mirroring the Chrome `X` event args.
-fn summary_attrs(t: &TraceRecord, attrs: &mut Vec<String>) {
-    if let Some(a) = t.agg {
-        attrs.push(attr_int("count", a.count));
-        attrs.push(attr_f64("total_us", a.total * 1e6));
-        attrs.push(attr_f64("min_us", a.min * 1e6));
-        attrs.push(attr_f64("max_us", a.max * 1e6));
+impl<'o> Attrs<'o> {
+    fn open(out: &'o mut String) -> Self {
+        out.push_str("\"attributes\":[");
+        Attrs { out, any: false }
     }
-}
 
-struct Span {
-    name: String,
-    kind: u32,
-    start: i64,
-    end: i64,
-    attrs: Vec<String>,
-    /// `(trace_id, span_id)` of the linked span, if any.
-    link: Option<(String, String)>,
-}
+    fn key(&mut self, key: &str) -> &mut String {
+        self.out
+            .push_str(if self.any { ",{\"key\":" } else { "{\"key\":" });
+        self.any = true;
+        quote_into(self.out, key);
+        self.out.push_str(",\"value\":{");
+        self.out
+    }
 
-impl Span {
-    fn render(&self, trace_id: &str, span_id: &str) -> String {
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"traceId\":\"{}\",\"spanId\":\"{}\",\"name\":{},\"kind\":{},\
-             \"startTimeUnixNano\":\"{}\",\"endTimeUnixNano\":\"{}\"",
-            trace_id,
-            span_id,
-            quote(&self.name),
-            self.kind,
-            self.start,
-            self.end
-        );
-        if !self.attrs.is_empty() {
-            let _ = write!(out, ",\"attributes\":[{}]", self.attrs.join(","));
+    fn str(&mut self, key: &str, val: &str) {
+        let out = self.key(key);
+        out.push_str("\"stringValue\":");
+        quote_into(out, val);
+        out.push_str("}}");
+    }
+
+    fn int(&mut self, key: &str, val: u64) {
+        let _ = write!(self.key(key), "\"intValue\":\"{val}\"}}}}");
+    }
+
+    fn f64(&mut self, key: &str, val: f64) {
+        let _ = write!(self.key(key), "\"doubleValue\":{val}}}}}");
+    }
+
+    /// Compaction aggregate attributes, mirroring the Chrome `X` event args.
+    fn summary(&mut self, t: &TraceRecord) {
+        if let Some(a) = t.agg {
+            self.int("count", a.count);
+            self.f64("total_us", a.total * 1e6);
+            self.f64("min_us", a.min * 1e6);
+            self.f64("max_us", a.max * 1e6);
         }
-        if let Some((lt, ls)) = &self.link {
-            let _ = write!(
-                out,
-                ",\"links\":[{{\"traceId\":\"{lt}\",\"spanId\":\"{ls}\"}}]"
-            );
-        }
-        out.push('}');
-        out
     }
 }
 
@@ -110,130 +85,142 @@ impl Span {
 const KIND_INTERNAL: u32 = 1;
 const KIND_CONSUMER: u32 = 5;
 
+/// One rank's spans, appended as they are written.
+struct Spans<'o> {
+    out: &'o mut String,
+    trace_id: String,
+    /// Spans written so far; span ids count from 1.
+    n: usize,
+}
+
+impl Spans<'_> {
+    /// Write a span's ids, name, kind and times, then open its attributes.
+    fn open(&mut self, name: &str, kind: u32, start: i64, end: i64) -> Attrs<'_> {
+        self.n += 1;
+        let out = &mut *self.out;
+        if self.n > 1 {
+            out.push_str(",\n");
+        }
+        let _ = write!(
+            out,
+            "{{\"traceId\":\"{}\",\"spanId\":\"{:016x}\",\"name\":",
+            self.trace_id, self.n
+        );
+        quote_into(out, name);
+        let _ = write!(
+            out,
+            ",\"kind\":{kind},\"startTimeUnixNano\":\"{start}\",\"endTimeUnixNano\":\"{end}\","
+        );
+        Attrs::open(out)
+    }
+
+    /// Close the span just opened (and its attributes), with a link to
+    /// span `link` (1-based) of the same trace when given.
+    fn close(&mut self, link: Option<usize>) {
+        self.out.push(']');
+        if let Some(span) = link {
+            let _ = write!(
+                self.out,
+                ",\"links\":[{{\"traceId\":\"{}\",\"spanId\":\"{span:016x}\"}}]",
+                self.trace_id
+            );
+        }
+        self.out.push('}');
+    }
+}
+
 /// All of one rank's spans, device side first so host `cudaLaunch` spans
 /// can link to the kernel span their correlation id resolves to.
-fn rank_spans(r: &ExportRank, trace_id: &str) -> Vec<String> {
-    let names = NameTable::global();
-    let mut spans: Vec<Span> = Vec::new();
-
+fn rank_spans(r: &ExportRank, names: &Names, spans: &mut Spans) {
     // Device spans (profiler ground truth wins, as in the Chrome backend),
-    // recording where each correlation id landed.
-    let mut corr_span: HashMap<u64, String> = HashMap::new();
-    let use_prof = !r.prof.is_empty();
-    if use_prof {
+    // recording which span each correlation id landed on.
+    let mut corr_span: HashMap<u64, usize> = HashMap::new();
+    if !r.prof.is_empty() {
         for p in &r.prof {
-            let mut attrs = vec![
-                attr_int("ipm.stream", p.stream.0 as u64),
-                attr_f64("gputime_us", p.gputime * 1e6),
-            ];
+            let start = ns(p.start, r.epoch);
+            let mut attrs = spans.open(
+                &p.method,
+                KIND_CONSUMER,
+                start,
+                ns(p.start + p.gputime, r.epoch),
+            );
+            attrs.int("ipm.stream", u64::from(p.stream.0));
+            attrs.f64("gputime_us", p.gputime * 1e6);
             if p.kind == ProfKind::Kernel && p.corr != 0 {
-                attrs.push(attr_int("ipm.corr", p.corr));
-                corr_span.insert(p.corr, format!("{:016x}", spans.len() + 1));
+                attrs.int("ipm.corr", p.corr);
+                corr_span.insert(p.corr, spans.n);
             }
-            spans.push(Span {
-                name: p.method.clone(),
-                kind: KIND_CONSUMER,
-                start: ns(p.start, r.epoch),
-                end: ns(p.start + p.gputime, r.epoch),
-                attrs,
-                link: None,
-            });
+            spans.close(None);
         }
     } else {
         for t in r.records.iter().filter(|t| t.kind == TraceKind::KernelExec) {
-            let mut attrs = vec![
-                attr_int("ipm.stream", u64::from(t.stream.unwrap_or(0))),
-                attr_int("ipm.region", u64::from(t.region)),
-            ];
+            let (start, end) = (ns(t.begin, r.epoch), ns(t.end, r.epoch));
+            let mut attrs = spans.open(names.get(t.name), KIND_CONSUMER, start, end);
+            attrs.int("ipm.stream", u64::from(t.stream.unwrap_or(0)));
+            attrs.int("ipm.region", u64::from(t.region));
             if let Some(detail) = t.detail {
-                attrs.push(attr_str("ipm.kernel", &names.name(detail)));
+                attrs.str("ipm.kernel", names.get(detail));
             }
             if t.corr != 0 {
-                attrs.push(attr_int("ipm.corr", t.corr));
-                corr_span.insert(t.corr, format!("{:016x}", spans.len() + 1));
+                attrs.int("ipm.corr", t.corr);
             }
-            summary_attrs(t, &mut attrs);
-            spans.push(Span {
-                name: names.name(t.name).to_string(),
-                kind: KIND_CONSUMER,
-                start: ns(t.begin, r.epoch),
-                end: ns(t.end, r.epoch),
-                attrs,
-                link: None,
-            });
+            attrs.summary(t);
+            if t.corr != 0 {
+                corr_span.insert(t.corr, spans.n);
+            }
+            spans.close(None);
         }
     }
 
     // Host spans: wrapped calls + host-idle intervals.
     for t in r.records.iter().filter(|t| t.kind != TraceKind::KernelExec) {
-        let mut attrs = Vec::new();
+        let link = (t.corr != 0)
+            .then(|| corr_span.get(&t.corr).copied())
+            .flatten();
+        let (start, end) = (ns(t.begin, r.epoch), ns(t.end, r.epoch));
+        let mut attrs = spans.open(names.get(t.name), KIND_INTERNAL, start, end);
         if t.bytes > 0 {
-            attrs.push(attr_int("ipm.bytes", t.bytes));
+            attrs.int("ipm.bytes", t.bytes);
         }
-        attrs.push(attr_int("ipm.region", u64::from(t.region)));
-        summary_attrs(t, &mut attrs);
-        let link = if t.corr != 0 {
-            corr_span
-                .get(&t.corr)
-                .map(|span_id| (trace_id.to_owned(), span_id.clone()))
-        } else {
-            None
-        };
+        attrs.int("ipm.region", u64::from(t.region));
+        attrs.summary(t);
         if link.is_some() {
-            attrs.push(attr_int("ipm.corr", t.corr));
+            attrs.int("ipm.corr", t.corr);
         }
-        spans.push(Span {
-            name: names.name(t.name).to_string(),
-            kind: KIND_INTERNAL,
-            start: ns(t.begin, r.epoch),
-            end: ns(t.end, r.epoch),
-            attrs,
-            link,
-        });
+        spans.close(link);
     }
-
-    spans
-        .iter()
-        .enumerate()
-        .map(|(i, s)| s.render(trace_id, &format!("{:016x}", i + 1)))
-        .collect()
 }
 
 /// Render the source as OTLP/JSON: `{"resourceSpans":[...]}`, one entry
 /// per rank, one span per trace record, one line per span.
 pub(crate) fn otlp_trace_json(src: &ExportSource) -> String {
+    let names = NameTable::global().snapshot();
     let mut out = String::from("{\"resourceSpans\":[\n");
     for (i, r) in src.ranks.iter().enumerate() {
-        let trace_id = format!("{:032x}", r.rank as u128 + 1);
-        let mut res_attrs = vec![
-            attr_int("ipm.rank", r.rank as u64),
-            attr_str("host.name", &r.host),
-        ];
-        if let Some(p) = &r.profile {
-            if !p.command.is_empty() {
-                res_attrs.push(attr_str("ipm.command", &p.command));
-            }
+        out.push_str("{\"resource\":{");
+        let mut attrs = Attrs::open(&mut out);
+        attrs.int("ipm.rank", r.rank as u64);
+        attrs.str("host.name", &r.host);
+        if let Some(p) = r.profile.as_ref().filter(|p| !p.command.is_empty()) {
+            attrs.str("ipm.command", &p.command);
         }
-        let _ = write!(
-            out,
-            "{{\"resource\":{{\"attributes\":[{}]}},\"scopeSpans\":[{{\
-             \"scope\":{{\"name\":\"ipm.trace\",\"version\":\"2.0\"}},\"spans\":[",
-            res_attrs.join(",")
+        out.push_str(
+            "]},\"scopeSpans\":[{\"scope\":{\"name\":\"ipm.trace\",\"version\":\"2.0\"},\"spans\":[\n",
         );
-        out.push('\n');
-        let spans = rank_spans(r, &trace_id);
-        for (j, s) in spans.iter().enumerate() {
-            out.push_str(s);
-            if j + 1 < spans.len() {
-                out.push(',');
-            }
+        let mut spans = Spans {
+            out: &mut out,
+            trace_id: format!("{:032x}", r.rank as u128 + 1),
+            n: 0,
+        };
+        rank_spans(r, &names, &mut spans);
+        if spans.n > 0 {
             out.push('\n');
         }
-        out.push_str("]}]}");
-        if i + 1 < src.ranks.len() {
-            out.push(',');
-        }
-        out.push('\n');
+        out.push_str(if i + 1 < src.ranks.len() {
+            "]}]},\n"
+        } else {
+            "]}]}\n"
+        });
     }
     out.push_str("]}\n");
     out

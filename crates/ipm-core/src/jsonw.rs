@@ -3,35 +3,37 @@
 //! The repo has no serde (no external deps are available), so every JSON
 //! producer writes strings by hand and every validator parses them with
 //! the minimal recursive-descent parser below. This module is the single
-//! home for both halves: [`esc`]/[`quote`] are the writer primitives used
-//! by the Chrome and OTLP exporters, and [`parse_json`]/[`Json`] are the
-//! reader used by [`crate::export::chrome::validate_chrome_trace`] and
-//! `validate_otlp`.
+//! home for both halves: [`quote_into`] is the writer primitive the Chrome
+//! and OTLP exporters render their strings through, and
+//! [`parse_json`]/[`Json`] are the reader used by
+//! [`crate::export::chrome::validate_chrome_trace`] and `validate_otlp`.
 
-/// Escape a string for embedding inside a JSON string literal (without the
-/// surrounding quotes).
-pub fn esc(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+use std::fmt::Write as _;
+
+/// Append `s` to `out` as a JSON string literal, quotes included. Text
+/// with nothing to escape is copied in one piece.
+pub fn quote_into(out: &mut String, s: &str) {
+    out.push('"');
+    let mut rest = s;
+    while let Some(i) = rest
+        .bytes()
+        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+    {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                let _ = write!(out, "\\u{:04x}", b);
             }
-            c => out.push(c),
         }
+        rest = &rest[i + 1..];
     }
-    out
-}
-
-/// A complete JSON string literal: `quote("a\"b")` is `"a\"b"` with quotes.
-pub fn quote(s: &str) -> String {
-    format!("\"{}\"", esc(s))
+    out.push_str(rest);
+    out.push('"');
 }
 
 /// A parsed JSON value.
@@ -281,7 +283,14 @@ mod tests {
     #[test]
     fn escaper_and_parser_agree() {
         let nasty = "a\"b\\c\nd\te\r\u{1}end";
-        let doc = parse_json(&format!("{{\"k\":{}}}", quote(nasty))).unwrap();
+        let mut doc = String::from("{\"k\":");
+        quote_into(&mut doc, nasty);
+        doc.push('}');
+        assert_eq!(doc, "{\"k\":\"a\\\"b\\\\c\\nd\\te\\r\\u0001end\"}");
+        let doc = parse_json(&doc).unwrap();
         assert_eq!(doc.get("k").and_then(Json::as_str), Some(nasty));
+        let mut plain = String::new();
+        quote_into(&mut plain, "é plain");
+        assert_eq!(plain, "\"é plain\"");
     }
 }

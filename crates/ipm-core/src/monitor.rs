@@ -248,9 +248,16 @@ pub struct Ipm {
 struct Regions {
     /// Region names; index 0 is the whole program.
     names: Vec<String>,
+    /// The id of each name in `names`.
+    ids: HashMap<String, u16>,
     /// The regions enclosing the active one, innermost last.
     enclosing: Vec<u16>,
 }
+
+/// The last region id, reserved for every region named once the other ids
+/// are taken, so their time stays visible (and apart from region 0).
+const OTHER_REGIONS: u16 = u16::MAX;
+const OTHER_REGIONS_NAME: &str = "<other regions>";
 
 #[derive(Clone, Debug)]
 struct Meta {
@@ -270,6 +277,7 @@ impl Ipm {
             region: AtomicU16::new(0),
             regions: Mutex::new(Regions {
                 names: vec!["<program>".to_owned()],
+                ids: HashMap::from([("<program>".to_owned(), 0)]),
                 enclosing: Vec::new(),
             }),
             meta: Mutex::new(Meta {
@@ -553,14 +561,24 @@ impl Ipm {
     }
 
     /// Enter a user region (IPM's `MPI_Pcontrol` regions); returns its id.
-    /// Regions of the same name share an id.
+    /// Regions of the same name share an id. Once 65,534 named regions
+    /// exist, every further new name enters the one `<other regions>`
+    /// region (the last id).
     pub fn region_enter(&self, name: &str) -> u16 {
         let mut regions = self.regions.lock();
-        let id = match regions.names.iter().position(|r| r == name) {
-            Some(i) => i as u16,
-            None => {
+        let id = match regions.ids.get(name) {
+            Some(&id) => id,
+            None if regions.names.len() < OTHER_REGIONS as usize => {
+                let id = regions.names.len() as u16;
                 regions.names.push(name.to_owned());
-                (regions.names.len() - 1) as u16
+                regions.ids.insert(name.to_owned(), id);
+                id
+            }
+            None => {
+                if regions.names.len() == OTHER_REGIONS as usize {
+                    regions.names.push(OTHER_REGIONS_NAME.to_owned());
+                }
+                OTHER_REGIONS
             }
         };
         regions.enclosing.push(self.region.load(Ordering::Relaxed));
@@ -704,6 +722,39 @@ mod tests {
         let b = m.region_enter("phase");
         assert_eq!(a, b);
         assert_eq!(m.profile().regions.len(), 2);
+    }
+
+    #[test]
+    fn regions_past_the_id_space_share_the_other_region() {
+        let m = ipm();
+        for i in 0..70_000u32 {
+            let id = m.region_enter(&format!("r{i}"));
+            assert_ne!(id, 0, "region {i} aliased the program region");
+            if i >= 65_534 {
+                assert_eq!(id, u16::MAX, "region {i}");
+                m.update(CallHandle::of("MPI_Send"), 8, 1.0);
+            } else {
+                assert_eq!(id as u32, i + 1);
+            }
+            m.region_exit();
+        }
+        // named regions keep their ids past the cap
+        assert_eq!(m.region_enter("r7"), 8);
+        m.region_exit();
+        let p = m.profile();
+        assert_eq!(p.regions.len(), 1 << 16);
+        assert_eq!(
+            p.regions.last().map(String::as_str),
+            Some("<other regions>")
+        );
+        let sends: Vec<_> = p.entries.iter().filter(|e| e.name == "MPI_Send").collect();
+        assert_eq!(sends.len(), 1);
+        assert_eq!(
+            (sends[0].region, sends[0].stats.count),
+            (u16::MAX, 70_000 - 65_534)
+        );
+        let report = crate::banner::render_region_report(&p, 0);
+        assert!(report.contains("# region <other regions>"), "{report}");
     }
 
     #[test]

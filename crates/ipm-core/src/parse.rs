@@ -11,7 +11,7 @@ use crate::aggregate::ClusterReport;
 use crate::banner::{render_banner, render_cluster_banner};
 use crate::export::{ChromeTrace, Export};
 use crate::profile::RankProfile;
-use crate::xml::{from_xml, trace_epoch_from_xml, trace_from_xml, XmlError};
+use crate::xml::{from_xml, read_log, XmlError};
 use std::fmt::Write as _;
 
 /// Parse one XML log and regenerate the single-rank banner.
@@ -33,21 +33,21 @@ pub fn cluster_banner_from_xml(xmls: &[String], nodes: usize) -> Result<String, 
 
 /// Rebuild the canonical export view from a set of XML logs (one per
 /// rank): each rank carries its parsed profile, the embedded `<trace>`
-/// records, and the recorded clock-alignment epoch, sorted by rank. Every
-/// `ipm_parse` rendering goes through this one loader.
+/// records, and the recorded clock-alignment epoch, sorted by rank, all
+/// read in one scan of each log. Every `ipm_parse` rendering goes through
+/// this one loader.
 pub fn export_from_xml(xmls: &[String]) -> Result<Export, XmlError> {
-    let mut parsed = Vec::new();
+    let mut logs = Vec::with_capacity(xmls.len());
     for xml in xmls {
-        let profile = from_xml(xml)?;
-        let records = trace_from_xml(xml)?;
-        let epoch = trace_epoch_from_xml(xml)?;
-        parsed.push((profile, records, epoch));
+        let log = read_log(xml, true);
+        logs.push((log.profile?, log.trace?, log.epoch?));
     }
-    parsed.sort_by_key(|(p, _, _)| p.rank);
-    let mut export = Export::new();
-    for (profile, records, epoch) in parsed {
-        export = export.rank(profile).with_trace(records).with_epoch(epoch);
-    }
+    logs.sort_by_key(|(p, _, _)| p.rank);
+    let export = logs
+        .into_iter()
+        .fold(Export::new(), |e, (profile, records, epoch)| {
+            e.rank(profile).with_trace(records).with_epoch(epoch)
+        });
     Ok(export)
 }
 

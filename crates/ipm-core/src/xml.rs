@@ -22,8 +22,10 @@
 use crate::compact::TraceAgg;
 use crate::profile::{MonitorInfo, ProfileEntry, RankProfile};
 use crate::trace::{TraceKind, TraceRecord};
-use ipm_interpose::{CallHandle, NameTable};
+use ipm_interpose::{CallHandle, CallId, NameTable};
 use ipm_sim_core::RunningStats;
+use std::borrow::Cow;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// XML parsing failure.
@@ -49,54 +51,83 @@ impl std::fmt::Display for XmlError {
 
 impl std::error::Error for XmlError {}
 
-fn escape(s: &str) -> String {
-    s.replace('&', "&amp;")
-        .replace('<', "&lt;")
-        .replace('>', "&gt;")
-        .replace('"', "&quot;")
+const ENTITIES: [(&str, char); 4] = [
+    ("&amp;", '&'),
+    ("&lt;", '<'),
+    ("&gt;", '>'),
+    ("&quot;", '"'),
+];
+
+/// Displays its text with the markup characters escaped; runs of text
+/// without any are written in one piece.
+struct Esc<'a>(&'a str);
+
+impl std::fmt::Display for Esc<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let mut rest = self.0;
+        while let Some(i) = rest.find(['&', '<', '>', '"']) {
+            let (entity, _) = ENTITIES
+                .iter()
+                .find(|(_, c)| rest[i..].starts_with(*c))
+                .expect("markup");
+            write!(f, "{}{entity}", &rest[..i])?;
+            rest = &rest[i + 1..];
+        }
+        f.write_str(rest)
+    }
 }
 
-fn unescape(s: &str) -> String {
-    s.replace("&quot;", "\"")
-        .replace("&gt;", ">")
-        .replace("&lt;", "<")
-        .replace("&amp;", "&")
+/// Undo [`Esc`] in one pass, allocating only when `s` holds an `&`. An
+/// `&` that starts no known entity is kept as is.
+fn unescape(s: &str) -> Cow<'_, str> {
+    if !s.contains('&') {
+        return Cow::Borrowed(s);
+    }
+    let mut out = String::with_capacity(s.len());
+    let mut rest = s;
+    while let Some(i) = rest.find('&') {
+        out.push_str(&rest[..i]);
+        rest = &rest[i..];
+        let (entity, c) = ENTITIES
+            .iter()
+            .find(|(e, _)| rest.starts_with(e))
+            .unwrap_or(&("&", '&'));
+        out.push(*c);
+        rest = &rest[entity.len()..];
+    }
+    out.push_str(rest);
+    Cow::Owned(out)
 }
 
 /// Serialize one rank's profile to the IPM XML dialect (no trace section;
 /// use `Export::…​.to(Xml)` to embed one).
 pub fn to_xml(p: &RankProfile) -> String {
-    to_xml_with_trace_at(p, &[], 0.0)
+    let mut out = String::new();
+    write_xml(&mut out, p, &[], 0.0);
+    out
 }
 
-/// Serialize a profile plus its event trace: the trace's records are
+/// Append a profile plus its event trace to `out`: the trace's records are
 /// embedded as `<event/>` lines in a `<trace>` section (with the rank's
 /// clock-alignment epoch on the `<trace>` element, so multi-rank exports
 /// line up their lanes), and a single XML log carries everything
 /// `ipm_parse trace` needs. This is the one real XML writer; the `Xml`
-/// backend of [`crate::export`] renders through it.
-pub(crate) fn to_xml_with_trace_at(p: &RankProfile, trace: &[TraceRecord], epoch: f64) -> String {
-    let mut out = String::new();
-    out.push_str("<ipm version=\"2.0\">\n");
-    let _ = writeln!(
-        out,
-        "  <task rank=\"{}\" nranks=\"{}\" host=\"{}\" wallclock=\"{}\" dropped=\"{}\">",
-        p.rank,
-        p.nranks,
-        escape(&p.host),
-        p.wallclock,
-        p.dropped_events,
-    );
-    let _ = writeln!(out, "    <command>{}</command>", escape(&p.command));
+/// backend of [`crate::export`] renders every rank through it into one
+/// buffer.
+pub(crate) fn write_xml(out: &mut String, p: &RankProfile, trace: &[TraceRecord], epoch: f64) {
     let m = &p.monitor;
+    let _ = write!(
+        out,
+        "<ipm version=\"2.0\">\n  <task rank=\"{}\" nranks=\"{}\" host=\"{}\" wallclock=\"{}\" dropped=\"{}\">\n    <command>{}</command>\n",
+        p.rank, p.nranks, Esc(&p.host), p.wallclock, p.dropped_events, Esc(&p.command),
+    );
     let _ = writeln!(
         out,
-        "    <monitor self_wall_ns=\"{}\" emitted=\"{}\" captured=\"{}\" dropped=\"{}\" compacted=\"{}\" ring_hwm_bytes=\"{}\"/>",
+        "    <monitor self_wall_ns=\"{}\" emitted=\"{}\" captured=\"{}\" dropped=\"{}\" compacted=\"{}\" ring_hwm_bytes=\"{}\"/>\n    <regions>",
         m.self_wall_ns, m.trace_emitted, m.trace_captured, m.trace_dropped, m.trace_compacted, m.ring_hwm_bytes,
     );
-    out.push_str("    <regions>\n");
     for (i, r) in p.regions.iter().enumerate() {
-        let _ = writeln!(out, "      <region id=\"{}\">{}</region>", i, escape(r));
+        let _ = writeln!(out, "      <region id=\"{i}\">{}</region>", Esc(r));
     }
     out.push_str("    </regions>\n");
     if !trace.is_empty() {
@@ -105,234 +136,281 @@ pub(crate) fn to_xml_with_trace_at(p: &RankProfile, trace: &[TraceRecord], epoch
         } else {
             out.push_str("    <trace>\n");
         }
-        let names = NameTable::global();
+        let names = NameTable::global().snapshot();
         for t in trace {
-            let detail = t
-                .detail
-                .map(|d| format!(" detail=\"{}\"", escape(&names.name(d))))
-                .unwrap_or_default();
-            let stream = t
-                .stream
-                .map(|s| format!(" stream=\"{s}\""))
-                .unwrap_or_default();
-            let agg = t
-                .agg
-                .map(|a| {
-                    format!(
-                        " count=\"{}\" total=\"{}\" min=\"{}\" max=\"{}\" ex_begin=\"{}\" ex_end=\"{}\"",
-                        a.count, a.total, a.min, a.max, a.exemplar.0, a.exemplar.1
-                    )
-                })
-                .unwrap_or_default();
-            let _ = writeln!(
+            let name = Esc(names.get(t.name));
+            let _ = write!(
                 out,
-                "      <event kind=\"{}\" name=\"{}\"{} begin=\"{}\" end=\"{}\" bytes=\"{}\" region=\"{}\"{} corr=\"{}\"{}/>",
-                t.kind.tag(),
-                escape(&names.name(t.name)),
-                detail,
-                t.begin,
-                t.end,
-                t.bytes,
-                t.region,
-                stream,
-                t.corr,
-                agg,
+                "      <event kind=\"{}\" name=\"{name}\"",
+                t.kind.tag()
             );
+            if let Some(d) = t.detail {
+                let _ = write!(out, " detail=\"{}\"", Esc(names.get(d)));
+            }
+            let _ = write!(
+                out,
+                " begin=\"{}\" end=\"{}\" bytes=\"{}\" region=\"{}\"",
+                t.begin, t.end, t.bytes, t.region
+            );
+            if let Some(s) = t.stream {
+                let _ = write!(out, " stream=\"{s}\"");
+            }
+            let _ = write!(out, " corr=\"{}\"", t.corr);
+            if let Some(a) = t.agg {
+                let _ = write!(out, " count=\"{}\" total=\"{}\" min=\"{}\" max=\"{}\" ex_begin=\"{}\" ex_end=\"{}\"", a.count, a.total, a.min, a.max, a.exemplar.0, a.exemplar.1);
+            }
+            out.push_str("/>\n");
         }
         out.push_str("    </trace>\n");
     }
     out.push_str("    <hash>\n");
     for e in &p.entries {
-        let detail = e
-            .detail
-            .as_ref()
-            .map(|d| format!(" detail=\"{}\"", escape(d)))
-            .unwrap_or_default();
+        let _ = write!(out, "      <entry name=\"{}\"", Esc(&e.name));
+        if let Some(d) = &e.detail {
+            let _ = write!(out, " detail=\"{}\"", Esc(d));
+        }
+        let s = &e.stats;
         let _ = writeln!(
             out,
-            "      <entry name=\"{}\"{} bytes=\"{}\" region=\"{}\" count=\"{}\" total=\"{}\" min=\"{}\" max=\"{}\"/>",
-            escape(&e.name),
-            detail,
-            e.bytes,
-            e.region,
-            e.stats.count,
-            e.stats.total,
-            e.stats.min,
-            e.stats.max,
+            " bytes=\"{}\" region=\"{}\" count=\"{}\" total=\"{}\" min=\"{}\" max=\"{}\"/>",
+            e.bytes, e.region, s.count, s.total, s.min, s.max
         );
     }
     out.push_str("    </hash>\n  </task>\n</ipm>\n");
-    out
 }
 
-/// Pull the value of `attr` out of a tag body like `rank="0" host="x"`.
-fn attr(tag: &str, name: &str) -> Option<String> {
-    let pat = format!("{name}=\"");
-    let start = tag.find(&pat)? + pat.len();
-    let end = tag[start..].find('"')? + start;
-    Some(unescape(&tag[start..end]))
-}
-
-fn num_attr<T: std::str::FromStr>(tag: &str, name: &'static str) -> Result<T, XmlError> {
-    let raw = attr(tag, name).ok_or(XmlError::Missing(name))?;
-    raw.parse().map_err(|_| XmlError::BadNumber(raw))
-}
-
-/// Numeric attribute that may legitimately be absent (fields added after
-/// logs in the wild were written): absent parses as `default`, present but
-/// unparseable is still an error.
-fn opt_num_attr<T: std::str::FromStr>(
-    tag: &str,
-    name: &'static str,
-    default: T,
-) -> Result<T, XmlError> {
-    match attr(tag, name) {
-        Some(raw) => raw.parse().map_err(|_| XmlError::BadNumber(raw)),
-        None => Ok(default),
+/// The values of `keys` in one tag's attribute list (`tag` is the text
+/// after the element name), walking its `key="value"` pairs once. Keys
+/// match whole, the first occurrence of a key wins, and values come back
+/// still escaped. The list ends at the first `>` or `/` between pairs.
+fn attrs<'a, const N: usize>(
+    tag: &'a str,
+    keys: [&str; N],
+) -> Result<[Option<&'a str>; N], XmlError> {
+    let mut found = [None; N];
+    let mut rest = tag.trim_start();
+    while !rest.is_empty() && !rest.starts_with(['>', '/']) {
+        let malformed = || XmlError::Malformed(tag.to_owned());
+        let (key, tail) = rest.split_once('=').ok_or_else(malformed)?;
+        let quoted = tail.strip_prefix('"').and_then(|t| t.split_once('"'));
+        let (value, tail) = quoted.ok_or_else(malformed)?;
+        if let Some(i) = keys.iter().position(|k| *k == key) {
+            found[i].get_or_insert(value);
+        }
+        rest = tail.trim_start();
     }
+    Ok(found)
+}
+
+/// A numeric attribute; missing or unparseable is an error.
+fn num<T: std::str::FromStr>(value: Option<&str>, name: &'static str) -> Result<T, XmlError> {
+    let raw = value.ok_or(XmlError::Missing(name))?;
+    raw.parse()
+        .map_err(|_| XmlError::BadNumber(unescape(raw).into_owned()))
+}
+
+/// A numeric attribute that may legitimately be absent (added after logs
+/// in the wild were written): absent is `default`, unparseable an error.
+fn num_or<T: std::str::FromStr>(value: Option<&str>, default: T) -> Result<T, XmlError> {
+    value.map_or(Ok(default), |_| num(value, "attribute"))
+}
+
+/// A string attribute, unescaped.
+fn text(value: Option<&str>, name: &'static str) -> Result<String, XmlError> {
+    Ok(unescape(value.ok_or(XmlError::Missing(name))?).into_owned())
+}
+
+/// What one scan of a log yields. The parts fail independently: a bad
+/// `<event>` leaves the profile readable, and a log without a `<task>`
+/// still yields its trace.
+pub(crate) struct Log {
+    pub profile: Result<RankProfile, XmlError>,
+    pub trace: Result<Vec<TraceRecord>, XmlError>,
+    pub epoch: Result<f64, XmlError>,
+}
+
+/// Read a log written by [`write_xml`] in one pass over its lines, keeping
+/// the first `<task>`, `<command>`, `<monitor>` and `<trace>` line. The
+/// `<event>` lines are parsed only when `with_trace` is set; their names
+/// and kernel symbols are interned through a per-log cache keyed by the
+/// raw attribute text, so each distinct name reaches the global interner
+/// once.
+pub(crate) fn read_log(xml: &str, with_trace: bool) -> Log {
+    let (mut task, mut command, mut monitor, mut trace_tag) = (None, None, None, None);
+    let (mut body, mut events) = (Vec::new(), Vec::new());
+    for line in xml.lines().map(str::trim) {
+        if let Some(tag) = line.strip_prefix("<event ") {
+            events.push(tag);
+        } else if line.starts_with("<entry ") || line.starts_with("<region ") {
+            body.push(line);
+        } else if let Some(tag) = line.strip_prefix("<task ") {
+            task.get_or_insert(tag);
+        } else if line.starts_with("<command>") {
+            command.get_or_insert(line);
+        } else if let Some(tag) = line.strip_prefix("<monitor ") {
+            monitor.get_or_insert(tag);
+        } else if line == "<trace>" || line.starts_with("<trace ") {
+            trace_tag.get_or_insert(&line["<trace".len()..]);
+        }
+    }
+    let mut ids = HashMap::new();
+    let events = events.iter().filter(|_| with_trace);
+    Log {
+        profile: profile(task, command, monitor, &body),
+        trace: events.map(|tag| event(tag, &mut ids)).collect(),
+        epoch: trace_tag.map_or(Ok(0.0), |tag| num_or(attrs(tag, ["epoch"])?[0], 0.0)),
+    }
+}
+
+fn profile(
+    task: Option<&str>,
+    command: Option<&str>,
+    monitor: Option<&str>,
+    body: &[&str],
+) -> Result<RankProfile, XmlError> {
+    let task = task.ok_or(XmlError::Missing("<task>"))?;
+    let [rank, nranks, wallclock, dropped, host] =
+        attrs(task, ["rank", "nranks", "wallclock", "dropped", "host"])?;
+    let malformed = |line: &str| XmlError::Malformed(line.to_owned());
+    // fields are read in the order their errors take precedence
+    let mut p = RankProfile {
+        rank: num(rank, "rank")?,
+        nranks: num(nranks, "nranks")?,
+        wallclock: num(wallclock, "wallclock")?,
+        dropped_events: num(dropped, "dropped")?,
+        host: text(host, "host")?,
+        command: match command {
+            Some(line) => line["<command>".len()..]
+                .strip_suffix("</command>")
+                .map(|inner| unescape(inner).into_owned())
+                .ok_or_else(|| malformed(line))?,
+            None => return Err(XmlError::Missing("<command>")),
+        },
+        // default-if-missing keeps logs from older monitors parseable
+        monitor: monitor.map_or(Ok(MonitorInfo::default()), monitor_info)?,
+        regions: Vec::new(),
+        entries: Vec::new(),
+    };
+    for line in body {
+        match line.strip_prefix("<entry ") {
+            Some(tag) => p.entries.push(entry(tag)?),
+            None => {
+                let inner = line
+                    .split_once('>')
+                    .and_then(|(_, rest)| rest.strip_suffix("</region>"));
+                p.regions
+                    .push(unescape(inner.ok_or_else(|| malformed(line))?).into_owned());
+            }
+        }
+    }
+    if p.regions.is_empty() {
+        return Err(XmlError::Missing("<regions>"));
+    }
+    Ok(p)
+}
+
+const MONITOR_KEYS: [&str; 6] = [
+    "self_wall_ns",
+    "emitted",
+    "captured",
+    "dropped",
+    "compacted",
+    "ring_hwm_bytes",
+];
+
+fn monitor_info(tag: &str) -> Result<MonitorInfo, XmlError> {
+    let [wall, emitted, captured, dropped, compacted, hwm] = attrs(tag, MONITOR_KEYS)?;
+    Ok(MonitorInfo {
+        self_wall_ns: num(wall, "self_wall_ns")?,
+        trace_emitted: num(emitted, "emitted")?,
+        trace_captured: num(captured, "captured")?,
+        trace_dropped: num(dropped, "dropped")?,
+        trace_compacted: num_or(compacted, 0)?,
+        ring_hwm_bytes: num(hwm, "ring_hwm_bytes")?,
+    })
+}
+
+const ENTRY_KEYS: [&str; 8] = [
+    "name", "detail", "bytes", "region", "count", "total", "min", "max",
+];
+
+fn entry(tag: &str) -> Result<ProfileEntry, XmlError> {
+    let [name, detail, bytes, region, count, total, min, max] = attrs(tag, ENTRY_KEYS)?;
+    Ok(ProfileEntry {
+        name: text(name, "name")?,
+        detail: detail.map(|d| unescape(d).into_owned()),
+        bytes: num(bytes, "bytes")?,
+        region: num(region, "region")?,
+        stats: RunningStats {
+            count: num(count, "count")?,
+            total: num(total, "total")?,
+            min: num(min, "min")?,
+            max: num(max, "max")?,
+        },
+    })
+}
+
+const EVENT_KEYS: [&str; 15] = [
+    "kind", "name", "detail", "begin", "end", "bytes", "region", "stream", "corr", "count",
+    "total", "min", "max", "ex_begin", "ex_end",
+];
+
+fn event<'a>(tag: &'a str, ids: &mut HashMap<&'a str, CallId>) -> Result<TraceRecord, XmlError> {
+    let [kind, name, detail, begin, end, bytes, region, stream, corr, count, total, min, max, ex_begin, ex_end] =
+        attrs(tag, EVENT_KEYS)?;
+    let kind = kind.ok_or(XmlError::Missing("kind"))?;
+    let unknown = || XmlError::Malformed(format!("unknown event kind '{}'", unescape(kind)));
+    let kind = kind
+        .chars()
+        .next()
+        .and_then(TraceKind::from_tag)
+        .ok_or_else(unknown)?;
+    let mut intern = |raw| {
+        *ids.entry(raw)
+            .or_insert_with(|| CallHandle::of(&unescape(raw)).id)
+    };
+    Ok(TraceRecord {
+        kind,
+        name: intern(name.ok_or(XmlError::Missing("name"))?),
+        detail: detail.map(&mut intern),
+        begin: num(begin, "begin")?,
+        end: num(end, "end")?,
+        bytes: num(bytes, "bytes")?,
+        region: num(region, "region")?,
+        stream: stream.map(|_| num(stream, "stream")).transpose()?,
+        corr: num(corr, "corr")?,
+        // summary records carry the aggregate attributes, keyed on
+        // `count`; raw records (and pre-compaction logs) omit them
+        agg: match count {
+            Some(_) => Some(TraceAgg {
+                count: num(count, "count")?,
+                total: num(total, "total")?,
+                min: num(min, "min")?,
+                max: num(max, "max")?,
+                exemplar: (num(ex_begin, "ex_begin")?, num(ex_end, "ex_end")?),
+            }),
+            None => None,
+        },
+    })
 }
 
 /// Parse a profile back out of the XML dialect produced by [`to_xml`].
 pub fn from_xml(xml: &str) -> Result<RankProfile, XmlError> {
-    let task_tag = xml
-        .lines()
-        .find(|l| l.trim_start().starts_with("<task "))
-        .ok_or(XmlError::Missing("<task>"))?;
-    let rank: usize = num_attr(task_tag, "rank")?;
-    let nranks: usize = num_attr(task_tag, "nranks")?;
-    let wallclock: f64 = num_attr(task_tag, "wallclock")?;
-    let dropped_events: u64 = num_attr(task_tag, "dropped")?;
-    let host = attr(task_tag, "host").ok_or(XmlError::Missing("host"))?;
-
-    let command = {
-        let line = xml
-            .lines()
-            .find(|l| l.trim_start().starts_with("<command>"))
-            .ok_or(XmlError::Missing("<command>"))?;
-        let inner = line
-            .trim()
-            .strip_prefix("<command>")
-            .and_then(|s| s.strip_suffix("</command>"))
-            .ok_or_else(|| XmlError::Malformed(line.to_owned()))?;
-        unescape(inner)
-    };
-
-    // default-if-missing keeps logs from older monitors parseable
-    let monitor = match xml
-        .lines()
-        .map(str::trim)
-        .find(|l| l.starts_with("<monitor "))
-    {
-        Some(line) => MonitorInfo {
-            self_wall_ns: num_attr(line, "self_wall_ns")?,
-            trace_emitted: num_attr(line, "emitted")?,
-            trace_captured: num_attr(line, "captured")?,
-            trace_dropped: num_attr(line, "dropped")?,
-            // absent in pre-compaction logs
-            trace_compacted: opt_num_attr(line, "compacted", 0)?,
-            ring_hwm_bytes: num_attr(line, "ring_hwm_bytes")?,
-        },
-        None => MonitorInfo::default(),
-    };
-
-    let mut regions = Vec::new();
-    let mut entries = Vec::new();
-    for line in xml.lines().map(str::trim) {
-        if line.starts_with("<region ") {
-            let inner = line
-                .split_once('>')
-                .and_then(|(_, rest)| rest.strip_suffix("</region>"))
-                .ok_or_else(|| XmlError::Malformed(line.to_owned()))?;
-            regions.push(unescape(inner));
-        } else if line.starts_with("<entry ") {
-            let stats = RunningStats {
-                count: num_attr(line, "count")?,
-                total: num_attr(line, "total")?,
-                min: num_attr(line, "min")?,
-                max: num_attr(line, "max")?,
-            };
-            entries.push(ProfileEntry {
-                name: attr(line, "name").ok_or(XmlError::Missing("name"))?,
-                detail: attr(line, "detail"),
-                bytes: num_attr(line, "bytes")?,
-                region: num_attr(line, "region")?,
-                stats,
-            });
-        }
-    }
-    if regions.is_empty() {
-        return Err(XmlError::Missing("<regions>"));
-    }
-    Ok(RankProfile {
-        rank,
-        nranks,
-        host,
-        command,
-        wallclock,
-        regions,
-        entries,
-        dropped_events,
-        monitor,
-    })
+    read_log(xml, false).profile
 }
 
-/// Parse the `<trace>` section back out of a log written by
-/// [`to_xml_with_trace_at`], interning every name and kernel symbol read
-/// (a trace record carries [`ipm_interpose::CallId`]s, never strings).
-/// Logs without a trace yield an empty vector.
+/// Parse the `<trace>` section back out of a log written by the `Xml`
+/// backend, interning every name and kernel symbol read (a trace record
+/// carries [`ipm_interpose::CallId`]s, never strings). Logs without a
+/// trace yield an empty vector.
 pub fn trace_from_xml(xml: &str) -> Result<Vec<TraceRecord>, XmlError> {
-    let mut out = Vec::new();
-    for line in xml.lines().map(str::trim) {
-        if !line.starts_with("<event ") {
-            continue;
-        }
-        let kind_raw = attr(line, "kind").ok_or(XmlError::Missing("kind"))?;
-        let kind = kind_raw
-            .chars()
-            .next()
-            .and_then(TraceKind::from_tag)
-            .ok_or_else(|| XmlError::Malformed(format!("unknown event kind '{kind_raw}'")))?;
-        out.push(TraceRecord {
-            kind,
-            name: CallHandle::of(&attr(line, "name").ok_or(XmlError::Missing("name"))?).id,
-            detail: attr(line, "detail").map(|d| CallHandle::of(&d).id),
-            begin: num_attr(line, "begin")?,
-            end: num_attr(line, "end")?,
-            bytes: num_attr(line, "bytes")?,
-            region: num_attr(line, "region")?,
-            stream: match attr(line, "stream") {
-                Some(raw) => Some(raw.parse().map_err(|_| XmlError::BadNumber(raw))?),
-                None => None,
-            },
-            corr: num_attr(line, "corr")?,
-            // summary records carry the aggregate attributes, keyed on
-            // `count`; raw records (and pre-compaction logs) omit them
-            agg: match attr(line, "count") {
-                Some(_) => Some(TraceAgg {
-                    count: num_attr(line, "count")?,
-                    total: num_attr(line, "total")?,
-                    min: num_attr(line, "min")?,
-                    max: num_attr(line, "max")?,
-                    exemplar: (num_attr(line, "ex_begin")?, num_attr(line, "ex_end")?),
-                }),
-                None => None,
-            },
-        });
-    }
-    Ok(out)
+    read_log(xml, true).trace
 }
 
 /// The clock-alignment epoch recorded on a log's `<trace>` element, or 0
 /// for logs without one (traceless, pre-epoch, or single-rank exports).
 pub fn trace_epoch_from_xml(xml: &str) -> Result<f64, XmlError> {
-    match xml
-        .lines()
-        .map(str::trim)
-        .find(|l| *l == "<trace>" || l.starts_with("<trace "))
-    {
-        Some(line) => opt_num_attr(line, "epoch", 0.0),
-        None => Ok(0.0),
-    }
+    read_log(xml, false).epoch
 }
 
 #[cfg(test)]
@@ -376,6 +454,59 @@ mod tests {
                 ring_hwm_bytes: 4096,
             },
         }
+    }
+
+    fn with_trace(trace: &[TraceRecord], epoch: f64) -> String {
+        let mut out = String::new();
+        write_xml(&mut out, &sample(), trace, epoch);
+        out
+    }
+
+    #[test]
+    fn unescape_matches_the_replace_chain() {
+        // the four-`replace` chain the single-pass decoder replaced
+        let chain = |s: &str| {
+            s.replace("&quot;", "\"")
+                .replace("&gt;", ">")
+                .replace("&lt;", "<")
+                .replace("&amp;", "&")
+        };
+        for s in [
+            "&amp;lt;",
+            "&&lt;",
+            "&amp;quot;",
+            "&amp;amp;",
+            "a &lt;b&gt; &quot;c&quot; & d;",
+            "&",
+            "&am",
+            "plain",
+            "",
+        ] {
+            assert_eq!(unescape(s), chain(s), "{s}");
+        }
+        assert!(matches!(unescape("plain"), Cow::Borrowed(_)));
+        let escaped = Esc("<a & \"b\">").to_string();
+        assert_eq!(escaped, "&lt;a &amp; &quot;b&quot;&gt;");
+        assert_eq!(unescape(&escaped), "<a & \"b\">");
+    }
+
+    #[test]
+    fn attribute_keys_match_whole() {
+        let [end, begin] = attrs(
+            r#"ex_end="3" ex_begin="2" begin="1" end="4" begin="9"/>"#,
+            ["end", "begin"],
+        )
+        .unwrap();
+        assert_eq!(
+            (begin, end),
+            (Some("1"), Some("4")),
+            "first whole-key match wins"
+        );
+        assert!(matches!(
+            attrs("a=\"1\" b", ["a"]),
+            Err(XmlError::Malformed(_))
+        ));
+        assert_eq!(attrs(">text", ["a"]).unwrap(), [None]);
     }
 
     #[test]
@@ -470,7 +601,7 @@ mod tests {
                 agg: None,
             },
         ];
-        let xml = to_xml_with_trace_at(&sample(), &trace, 0.0);
+        let xml = with_trace(&trace, 0.0);
         let back = trace_from_xml(&xml).unwrap();
         assert_eq!(back, trace);
         // and the profile parse still works with the trace embedded
@@ -499,13 +630,13 @@ mod tests {
                 exemplar: (2.0, 2.125),
             }),
         }];
-        let xml = to_xml_with_trace_at(&sample(), &trace, 0.5);
+        let xml = with_trace(&trace, 0.5);
         assert!(xml.contains("<trace epoch=\"0.5\">"));
         assert!(xml.contains("count=\"123\""));
         assert_eq!(trace_from_xml(&xml).unwrap(), trace);
         assert_eq!(trace_epoch_from_xml(&xml).unwrap(), 0.5);
         // epoch 0 writes the bare element, which parses back to 0
-        let xml0 = to_xml_with_trace_at(&sample(), &trace, 0.0);
+        let xml0 = with_trace(&trace, 0.0);
         assert!(xml0.contains("<trace>"));
         assert_eq!(trace_epoch_from_xml(&xml0).unwrap(), 0.0);
         // traceless logs have epoch 0 too

@@ -5,7 +5,7 @@ use ipm_repro::ipm::parse::export_from_xml;
 use ipm_repro::ipm::{
     banner_from_xml, chrome_trace_from_xml, from_xml, merge_runs, to_xml, trace_from_xml,
     validate_chrome_trace, ChromeTrace, CompactPolicy, Export, PerfTable, ProfileEntry,
-    RankProfile, SigKey, TraceKind, TraceRank, TraceRecord, TraceRing, Xml,
+    RankProfile, SigKey, TraceAgg, TraceKind, TraceRank, TraceRecord, TraceRing, Xml,
 };
 use ipm_repro::numlib::{blaskernels, fftkernels, Complex64, FftDirection, Transpose};
 use ipm_repro::sim::{RunningStats, SimClock, SimRng};
@@ -111,6 +111,129 @@ proptest! {
         let back = from_xml(&xml).expect("parse");
         prop_assert_eq!(back, profile);
     }
+}
+
+/// A timestamp-like value: any finite magnitude from subnormal-adjacent
+/// to ~1e302, either sign, rarely a short decimal.
+fn arb_f64() -> impl Strategy<Value = f64> {
+    (any::<f64>(), 0u8..5).prop_map(|(x, scale)| match scale {
+        0 => x * 1e290,
+        1 => x * 1e-300,
+        2 => -x.abs(),
+        3 => (x / 1e9).round() / 1e3,
+        _ => x,
+    })
+}
+
+/// Trace records of every shape the `<event>` line carries: names and
+/// kernel symbols with markup, entity-like and non-ASCII text, streams,
+/// summaries, and extreme or negative numbers.
+fn arb_trace_record() -> impl Strategy<Value = TraceRecord> {
+    let name = "[a-z<>&\";# é漢]{1,12}";
+    let agg = (
+        1u64..1_000_000,
+        arb_f64(),
+        arb_f64(),
+        arb_f64(),
+        (arb_f64(), arb_f64()),
+    );
+    (
+        (0u8..3, name, prop::option::of(name)),
+        (arb_f64(), arb_f64(), any::<u64>(), any::<u16>()),
+        (prop::option::of(any::<u32>()), any::<u64>()),
+        prop::option::of(agg),
+    )
+        .prop_map(
+            |((kind, name, detail), (begin, end, bytes, region), (stream, corr), agg)| {
+                TraceRecord {
+                    kind: [TraceKind::Call, TraceKind::KernelExec, TraceKind::HostIdle]
+                        [kind as usize],
+                    name: CallHandle::of(&name).id,
+                    detail: detail.map(|d| CallHandle::of(&d).id),
+                    begin,
+                    end,
+                    bytes,
+                    region,
+                    stream,
+                    corr,
+                    agg: agg.map(|(count, total, min, max, exemplar)| TraceAgg {
+                        count,
+                        total,
+                        min,
+                        max,
+                        exemplar,
+                    }),
+                }
+            },
+        )
+}
+
+fn small_profile(rank: usize) -> RankProfile {
+    RankProfile {
+        rank,
+        nranks: rank + 1,
+        host: format!("dirac{rank:02}"),
+        command: "./md".to_owned(),
+        wallclock: 1.5,
+        regions: vec!["<program>".to_owned()],
+        entries: Vec::new(),
+        dropped_events: 0,
+        monitor: Default::default(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+    /// Any trace, written through the `Xml` backend with a nonzero epoch,
+    /// reads back through the `ipm_parse` loader to the same records and
+    /// epoch.
+    #[test]
+    fn xml_trace_roundtrip_is_identity(
+        records in prop::collection::vec(arb_trace_record(), 1..40),
+        epoch in arb_f64(),
+        rank in 0usize..64,
+    ) {
+        let epoch = if epoch == 0.0 { 0.5 } else { epoch };
+        let xml = Export::from_profile(small_profile(rank))
+            .with_trace(records.clone())
+            .with_epoch(epoch)
+            .to(Xml)
+            .expect("profile present");
+        let back = export_from_xml(&[xml]).expect("parse");
+        let back = &back.source().ranks[0];
+        prop_assert_eq!(&back.records, &records);
+        prop_assert_eq!(back.epoch.to_bits(), epoch.to_bits());
+        prop_assert_eq!(back.profile.as_ref(), Some(&small_profile(rank)));
+    }
+}
+
+/// Attributes are matched by whole key, so their order does not matter:
+/// a summary whose `ex_begin`/`ex_end` come before `begin`/`end` still
+/// reads back its own span, not the exemplar's (a substring search finds
+/// `begin="` inside `ex_begin="` first).
+#[test]
+fn event_attributes_parse_in_any_order() {
+    let mut rec = trace_rec(TraceKind::Call, "cudaLaunch", 1.0, 4.0, None, 0);
+    rec.agg = Some(TraceAgg {
+        count: 2,
+        total: 2.0,
+        min: 0.5,
+        max: 1.5,
+        exemplar: (2.0, 3.0),
+    });
+    let xml = Export::from_profile(small_profile(0))
+        .with_trace(vec![rec.clone()])
+        .to(Xml)
+        .expect("profile present");
+    let exemplar = " ex_begin=\"2\" ex_end=\"3\"";
+    assert!(xml.contains(exemplar), "{xml}");
+    let reordered = xml
+        .replace(exemplar, "")
+        .replace("<event ", &format!("<event{exemplar} "));
+    assert!(reordered.contains("<event ex_begin=\"2\" ex_end=\"3\" kind="));
+    let back = trace_from_xml(&reordered).expect("parse");
+    assert_eq!((back[0].begin, back[0].end), (1.0, 4.0));
+    assert_eq!(back, vec![rec]);
 }
 
 // ---------------------------------------------------------------------
