@@ -137,16 +137,21 @@ impl Events {
         });
         // stack of pending end timestamps with their slice names
         let mut stack: Vec<(f64, &str)> = Vec::new();
+        // every event on the lane ends in `"pid":..,"tid":..,"ts":<begin>`,
+        // and a slice's flow events share its begin: render each once
+        let at = format!(",\"pid\":{pid},\"tid\":{tid},\"ts\":");
+        let mut begin = String::new();
         for s in &slices {
-            self.close(pid, tid, &mut stack, s.begin);
+            self.close(&at, &mut stack, s.begin);
+            begin.clear();
+            let _ = write!(begin, "{}", us(s.begin));
             for (ph, id) in [("f", s.flow_in), ("s", s.flow_out)] {
                 if id != 0 {
                     let out = self.open(ph, None);
                     let bp = if ph == "f" { ",\"bp\":\"e\"" } else { "" };
                     let _ = write!(
                         out,
-                        "{bp},\"cat\":\"launch\",\"name\":\"launch\",\"id\":{id},\"pid\":{pid},\"tid\":{tid},\"ts\":{}}}",
-                        us(s.begin)
+                        "{bp},\"cat\":\"launch\",\"name\":\"launch\",\"id\":{id}{at}{begin}}}"
                     );
                 }
             }
@@ -159,7 +164,8 @@ impl Events {
             // no part in the nesting stack, so overlap is harmless.
             let summary = matches!(s.src, Source::Record(t) if t.is_summary());
             let out = self.open(if summary { "X" } else { "B" }, Some(s.name));
-            let _ = write!(out, ",\"pid\":{pid},\"tid\":{tid},\"ts\":{}", us(s.begin));
+            out.push_str(&at);
+            out.push_str(&begin);
             if summary {
                 let _ = write!(out, ",\"dur\":{}", us(s.end - s.begin));
             } else {
@@ -167,15 +173,15 @@ impl Events {
             }
             s.write_args(out);
         }
-        self.close(pid, tid, &mut stack, f64::INFINITY);
+        self.close(&at, &mut stack, f64::INFINITY);
     }
 
     /// Emit the `E` of every pending slice ending at or before `upto`.
-    fn close(&mut self, pid: usize, tid: u32, stack: &mut Vec<(f64, &str)>, upto: f64) {
+    fn close(&mut self, at: &str, stack: &mut Vec<(f64, &str)>, upto: f64) {
         while let Some(&(end, name)) = stack.last().filter(|(end, _)| *end <= upto) {
             stack.pop();
             let out = self.open("E", Some(name));
-            let _ = write!(out, ",\"pid\":{pid},\"tid\":{tid},\"ts\":{}}}", us(end));
+            let _ = write!(out, "{at}{}}}", us(end));
         }
     }
 }
@@ -300,9 +306,8 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceStats, String> {
 
     let mut stacks: HashMap<(u64, u64), Vec<String>> = HashMap::new();
     let mut last_ts: HashMap<(u64, u64), f64> = HashMap::new();
-    let mut lanes_with_slices: std::collections::HashSet<(u64, u64)> =
-        std::collections::HashSet::new();
-    let mut processes: std::collections::HashSet<u64> = std::collections::HashSet::new();
+    let mut lanes_with_slices: HashSet<(u64, u64)> = HashSet::new();
+    let mut processes: HashSet<u64> = HashSet::new();
     let mut flow_starts: HashMap<u64, usize> = HashMap::new();
     let mut flow_finishes: HashMap<u64, usize> = HashMap::new();
     let mut slices = 0usize;

@@ -37,17 +37,16 @@ pub fn cluster_banner_from_xml(xmls: &[String], nodes: usize) -> Result<String, 
 /// read in one scan of each log. Every `ipm_parse` rendering goes through
 /// this one loader.
 pub fn export_from_xml(xmls: &[String]) -> Result<Export, XmlError> {
-    let mut logs = Vec::with_capacity(xmls.len());
+    let mut parsed = Vec::new();
     for xml in xmls {
         let log = read_log(xml, true);
-        logs.push((log.profile?, log.trace?, log.epoch?));
+        parsed.push((log.profile?, log.trace?, log.epoch?));
     }
-    logs.sort_by_key(|(p, _, _)| p.rank);
-    let export = logs
-        .into_iter()
-        .fold(Export::new(), |e, (profile, records, epoch)| {
-            e.rank(profile).with_trace(records).with_epoch(epoch)
-        });
+    parsed.sort_by_key(|(p, _, _)| p.rank);
+    let mut export = Export::new();
+    for (profile, records, epoch) in parsed {
+        export = export.rank(profile).with_trace(records).with_epoch(epoch);
+    }
     Ok(export)
 }
 

@@ -179,45 +179,61 @@ pub(crate) fn write_xml(out: &mut String, p: &RankProfile, trace: &[TraceRecord]
     out.push_str("    </hash>\n  </task>\n</ipm>\n");
 }
 
-/// The values of `keys` in one tag's attribute list (`tag` is the text
-/// after the element name), walking its `key="value"` pairs once. Keys
-/// match whole, the first occurrence of a key wins, and values come back
-/// still escaped. The list ends at the first `>` or `/` between pairs.
-fn attrs<'a, const N: usize>(
-    tag: &'a str,
-    keys: [&str; N],
-) -> Result<[Option<&'a str>; N], XmlError> {
-    let mut found = [None; N];
-    let mut rest = tag.trim_start();
-    while !rest.is_empty() && !rest.starts_with(['>', '/']) {
+/// One tag's attributes (`tag` is the text after the element name),
+/// split into `key="value"` pairs in one pass. Values stay escaped. The
+/// list ends at the first `>` or `/` between pairs.
+struct Tag<'a> {
+    pairs: [(&'a str, &'a str); Tag::MAX],
+    len: usize,
+}
+
+impl<'a> Tag<'a> {
+    /// More attributes than any element of the dialect carries.
+    const MAX: usize = 16;
+
+    fn parse(tag: &'a str) -> Result<Self, XmlError> {
+        let mut t = Tag {
+            pairs: [("", ""); Tag::MAX],
+            len: 0,
+        };
         let malformed = || XmlError::Malformed(tag.to_owned());
-        let (key, tail) = rest.split_once('=').ok_or_else(malformed)?;
-        let quoted = tail.strip_prefix('"').and_then(|t| t.split_once('"'));
-        let (value, tail) = quoted.ok_or_else(malformed)?;
-        if let Some(i) = keys.iter().position(|k| *k == key) {
-            found[i].get_or_insert(value);
+        let mut rest = tag.trim_start();
+        while !rest.is_empty() && !rest.starts_with(['>', '/']) {
+            let (key, tail) = rest.split_once('=').ok_or_else(malformed)?;
+            let quoted = tail.strip_prefix('"').and_then(|t| t.split_once('"'));
+            let (value, tail) = quoted.ok_or_else(malformed)?;
+            *t.pairs.get_mut(t.len).ok_or_else(malformed)? = (key, value);
+            t.len += 1;
+            rest = tail.trim_start();
         }
-        rest = tail.trim_start();
+        Ok(t)
     }
-    Ok(found)
-}
 
-/// A numeric attribute; missing or unparseable is an error.
-fn num<T: std::str::FromStr>(value: Option<&str>, name: &'static str) -> Result<T, XmlError> {
-    let raw = value.ok_or(XmlError::Missing(name))?;
-    raw.parse()
-        .map_err(|_| XmlError::BadNumber(unescape(raw).into_owned()))
-}
+    /// The value of `key`: keys match whole, and the first occurrence wins.
+    fn get(&self, key: &str) -> Option<&'a str> {
+        self.pairs[..self.len]
+            .iter()
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| *v)
+    }
 
-/// A numeric attribute that may legitimately be absent (added after logs
-/// in the wild were written): absent is `default`, unparseable an error.
-fn num_or<T: std::str::FromStr>(value: Option<&str>, default: T) -> Result<T, XmlError> {
-    value.map_or(Ok(default), |_| num(value, "attribute"))
-}
+    /// A numeric attribute; missing or unparseable is an error.
+    fn num<T: std::str::FromStr>(&self, key: &'static str) -> Result<T, XmlError> {
+        let raw = self.get(key).ok_or(XmlError::Missing(key))?;
+        raw.parse()
+            .map_err(|_| XmlError::BadNumber(unescape(raw).into_owned()))
+    }
 
-/// A string attribute, unescaped.
-fn text(value: Option<&str>, name: &'static str) -> Result<String, XmlError> {
-    Ok(unescape(value.ok_or(XmlError::Missing(name))?).into_owned())
+    /// A numeric attribute that may legitimately be absent (added after
+    /// logs in the wild were written): absent is `default`.
+    fn num_or<T: std::str::FromStr>(&self, key: &'static str, default: T) -> Result<T, XmlError> {
+        self.get(key).map_or(Ok(default), |_| self.num(key))
+    }
+
+    /// A string attribute, unescaped.
+    fn text(&self, key: &'static str) -> Result<String, XmlError> {
+        Ok(unescape(self.get(key).ok_or(XmlError::Missing(key))?).into_owned())
+    }
 }
 
 /// What one scan of a log yields. The parts fail independently: a bad
@@ -240,7 +256,9 @@ pub(crate) fn read_log(xml: &str, with_trace: bool) -> Log {
     let (mut body, mut events) = (Vec::new(), Vec::new());
     for line in xml.lines().map(str::trim) {
         if let Some(tag) = line.strip_prefix("<event ") {
-            events.push(tag);
+            if with_trace {
+                events.push(tag);
+            }
         } else if line.starts_with("<entry ") || line.starts_with("<region ") {
             body.push(line);
         } else if let Some(tag) = line.strip_prefix("<task ") {
@@ -254,11 +272,11 @@ pub(crate) fn read_log(xml: &str, with_trace: bool) -> Log {
         }
     }
     let mut ids = HashMap::new();
-    let events = events.iter().filter(|_| with_trace);
     Log {
         profile: profile(task, command, monitor, &body),
-        trace: events.map(|tag| event(tag, &mut ids)).collect(),
-        epoch: trace_tag.map_or(Ok(0.0), |tag| num_or(attrs(tag, ["epoch"])?[0], 0.0)),
+        trace: events.iter().map(|tag| event(tag, &mut ids)).collect(),
+        // absent in pre-epoch logs
+        epoch: trace_tag.map_or(Ok(0.0), |tag| Tag::parse(tag)?.num_or("epoch", 0.0)),
     }
 }
 
@@ -268,17 +286,15 @@ fn profile(
     monitor: Option<&str>,
     body: &[&str],
 ) -> Result<RankProfile, XmlError> {
-    let task = task.ok_or(XmlError::Missing("<task>"))?;
-    let [rank, nranks, wallclock, dropped, host] =
-        attrs(task, ["rank", "nranks", "wallclock", "dropped", "host"])?;
+    let task = Tag::parse(task.ok_or(XmlError::Missing("<task>"))?)?;
     let malformed = |line: &str| XmlError::Malformed(line.to_owned());
     // fields are read in the order their errors take precedence
     let mut p = RankProfile {
-        rank: num(rank, "rank")?,
-        nranks: num(nranks, "nranks")?,
-        wallclock: num(wallclock, "wallclock")?,
-        dropped_events: num(dropped, "dropped")?,
-        host: text(host, "host")?,
+        rank: task.num("rank")?,
+        nranks: task.num("nranks")?,
+        wallclock: task.num("wallclock")?,
+        dropped_events: task.num("dropped")?,
+        host: task.text("host")?,
         command: match command {
             Some(line) => line["<command>".len()..]
                 .strip_suffix("</command>")
@@ -309,56 +325,39 @@ fn profile(
     Ok(p)
 }
 
-const MONITOR_KEYS: [&str; 6] = [
-    "self_wall_ns",
-    "emitted",
-    "captured",
-    "dropped",
-    "compacted",
-    "ring_hwm_bytes",
-];
-
 fn monitor_info(tag: &str) -> Result<MonitorInfo, XmlError> {
-    let [wall, emitted, captured, dropped, compacted, hwm] = attrs(tag, MONITOR_KEYS)?;
+    let t = Tag::parse(tag)?;
     Ok(MonitorInfo {
-        self_wall_ns: num(wall, "self_wall_ns")?,
-        trace_emitted: num(emitted, "emitted")?,
-        trace_captured: num(captured, "captured")?,
-        trace_dropped: num(dropped, "dropped")?,
-        trace_compacted: num_or(compacted, 0)?,
-        ring_hwm_bytes: num(hwm, "ring_hwm_bytes")?,
+        self_wall_ns: t.num("self_wall_ns")?,
+        trace_emitted: t.num("emitted")?,
+        trace_captured: t.num("captured")?,
+        trace_dropped: t.num("dropped")?,
+        // absent in pre-compaction logs
+        trace_compacted: t.num_or("compacted", 0)?,
+        ring_hwm_bytes: t.num("ring_hwm_bytes")?,
     })
 }
-
-const ENTRY_KEYS: [&str; 8] = [
-    "name", "detail", "bytes", "region", "count", "total", "min", "max",
-];
 
 fn entry(tag: &str) -> Result<ProfileEntry, XmlError> {
-    let [name, detail, bytes, region, count, total, min, max] = attrs(tag, ENTRY_KEYS)?;
+    let t = Tag::parse(tag)?;
+    let stats = RunningStats {
+        count: t.num("count")?,
+        total: t.num("total")?,
+        min: t.num("min")?,
+        max: t.num("max")?,
+    };
     Ok(ProfileEntry {
-        name: text(name, "name")?,
-        detail: detail.map(|d| unescape(d).into_owned()),
-        bytes: num(bytes, "bytes")?,
-        region: num(region, "region")?,
-        stats: RunningStats {
-            count: num(count, "count")?,
-            total: num(total, "total")?,
-            min: num(min, "min")?,
-            max: num(max, "max")?,
-        },
+        name: t.text("name")?,
+        detail: t.get("detail").map(|d| unescape(d).into_owned()),
+        bytes: t.num("bytes")?,
+        region: t.num("region")?,
+        stats,
     })
 }
 
-const EVENT_KEYS: [&str; 15] = [
-    "kind", "name", "detail", "begin", "end", "bytes", "region", "stream", "corr", "count",
-    "total", "min", "max", "ex_begin", "ex_end",
-];
-
 fn event<'a>(tag: &'a str, ids: &mut HashMap<&'a str, CallId>) -> Result<TraceRecord, XmlError> {
-    let [kind, name, detail, begin, end, bytes, region, stream, corr, count, total, min, max, ex_begin, ex_end] =
-        attrs(tag, EVENT_KEYS)?;
-    let kind = kind.ok_or(XmlError::Missing("kind"))?;
+    let t = Tag::parse(tag)?;
+    let kind = t.get("kind").ok_or(XmlError::Missing("kind"))?;
     let unknown = || XmlError::Malformed(format!("unknown event kind '{}'", unescape(kind)));
     let kind = kind
         .chars()
@@ -371,23 +370,23 @@ fn event<'a>(tag: &'a str, ids: &mut HashMap<&'a str, CallId>) -> Result<TraceRe
     };
     Ok(TraceRecord {
         kind,
-        name: intern(name.ok_or(XmlError::Missing("name"))?),
-        detail: detail.map(&mut intern),
-        begin: num(begin, "begin")?,
-        end: num(end, "end")?,
-        bytes: num(bytes, "bytes")?,
-        region: num(region, "region")?,
-        stream: stream.map(|_| num(stream, "stream")).transpose()?,
-        corr: num(corr, "corr")?,
+        name: intern(t.get("name").ok_or(XmlError::Missing("name"))?),
+        detail: t.get("detail").map(&mut intern),
+        begin: t.num("begin")?,
+        end: t.num("end")?,
+        bytes: t.num("bytes")?,
+        region: t.num("region")?,
+        stream: t.get("stream").map(|_| t.num("stream")).transpose()?,
+        corr: t.num("corr")?,
         // summary records carry the aggregate attributes, keyed on
         // `count`; raw records (and pre-compaction logs) omit them
-        agg: match count {
+        agg: match t.get("count") {
             Some(_) => Some(TraceAgg {
-                count: num(count, "count")?,
-                total: num(total, "total")?,
-                min: num(min, "min")?,
-                max: num(max, "max")?,
-                exemplar: (num(ex_begin, "ex_begin")?, num(ex_end, "ex_end")?),
+                count: t.num("count")?,
+                total: t.num("total")?,
+                min: t.num("min")?,
+                max: t.num("max")?,
+                exemplar: (t.num("ex_begin")?, t.num("ex_end")?),
             }),
             None => None,
         },
@@ -492,21 +491,17 @@ mod tests {
 
     #[test]
     fn attribute_keys_match_whole() {
-        let [end, begin] = attrs(
-            r#"ex_end="3" ex_begin="2" begin="1" end="4" begin="9"/>"#,
-            ["end", "begin"],
-        )
-        .unwrap();
-        assert_eq!(
-            (begin, end),
-            (Some("1"), Some("4")),
-            "first whole-key match wins"
-        );
+        let t = Tag::parse(r#"ex_end="3" ex_begin="2" begin="1" end="4" begin="9"/>"#).unwrap();
+        let span = (t.get("begin"), t.get("end"));
+        assert_eq!(span, (Some("1"), Some("4")), "first whole-key match wins");
         assert!(matches!(
-            attrs("a=\"1\" b", ["a"]),
+            Tag::parse("a=\"1\" b"),
             Err(XmlError::Malformed(_))
         ));
-        assert_eq!(attrs(">text", ["a"]).unwrap(), [None]);
+        assert_eq!(Tag::parse(">text").unwrap().get("a"), None);
+        // more attributes than any element carries: an error, not a panic
+        let many: String = (0..=Tag::MAX).map(|i| format!("k{i}=\"{i}\" ")).collect();
+        assert!(matches!(Tag::parse(&many), Err(XmlError::Malformed(_))));
     }
 
     #[test]

@@ -237,7 +237,7 @@ fn assert_golden(file: &str, actual: &str) {
     }
     let golden =
         std::fs::read_to_string(&path).expect("golden file missing — run with UPDATE_GOLDEN=1");
-    assert!(actual == golden, "output drifted from results/{file}");
+    assert_eq!(actual, golden, "output drifted from results/{file}");
 }
 
 /// A name that needs escaping in both JSON (`"`, `\`, tab, a control
