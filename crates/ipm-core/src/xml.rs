@@ -69,7 +69,7 @@ impl std::fmt::Display for Esc<'_> {
             let (entity, _) = ENTITIES
                 .iter()
                 .find(|(_, c)| rest[i..].starts_with(*c))
-                .expect("markup");
+                .expect("find stops at a markup character");
             write!(f, "{}{entity}", &rest[..i])?;
             rest = &rest[i + 1..];
         }
