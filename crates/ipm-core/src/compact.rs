@@ -1,5 +1,5 @@
 //! Trace compaction & retention: conservation-checked merging of adjacent
-//! records, and the k-way merge that replaced the drain-side global sort.
+//! records.
 //!
 //! The paper's premise is *low-overhead, always-on* monitoring: IPM keeps
 //! fixed-size tables precisely so long runs don't grow memory. The trace
@@ -7,7 +7,7 @@
 //! once full — a long run's trace lost its shape exactly where it got
 //! interesting. This module adds the retention layer:
 //!
-//! * [`CompactPolicy`] — when a stripe passes its high-water mark, a pass
+//! * [`CompactPolicy`] — when a ring passes its high-water mark, a pass
 //!   merges adjacent short records of the same event signature into one
 //!   summary record carrying [`TraceAgg`] `{count, total, min, max}` plus
 //!   one kept exemplar interval, so the timeline keeps its envelope under
@@ -17,11 +17,6 @@
 //!   [`TraceRecord::event_count`] / [`TraceRecord::busy_total`] over the
 //!   output equals the same sums over the input, per signature (proptested
 //!   in `tests/properties.rs`, model-checked under loom).
-//! * [`merge_runs`] — k-way merge of per-stripe pre-sorted runs. Records
-//!   are appended in virtual-time order per rank, so each stripe's buffer
-//!   is already (nearly) sorted; merging runs on drain replaces the old
-//!   sort-everything-on-the-consumer-thread path and produces the *same
-//!   record-for-record order* the stable global sort did.
 
 use crate::trace::TraceRecord;
 use std::cmp::Ordering;
@@ -48,9 +43,9 @@ pub struct TraceAgg {
 /// Retention policy of a trace ring.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CompactPolicy {
-    /// Resident records per stripe that trigger a compaction pass;
-    /// 0 disables compaction entirely (the pre-retention drop-only mode).
-    pub stripe_high_water: usize,
+    /// Resident records that trigger a compaction pass; 0 disables
+    /// compaction entirely (the pre-retention drop-only mode).
+    pub high_water: usize,
     /// Only records whose longest individual duration is at most this
     /// (virtual seconds) are merged — long slices always survive
     /// individually. `INFINITY` merges everything mergeable.
@@ -58,17 +53,17 @@ pub struct CompactPolicy {
 }
 
 impl CompactPolicy {
-    /// Compaction off: a full stripe drops the new record, as before.
+    /// Compaction off: a full ring drops the new record, as before.
     pub const DISABLED: Self = Self {
-        stripe_high_water: 0,
+        high_water: 0,
         max_merge_duration: f64::INFINITY,
     };
 
-    /// Compact a stripe whenever it holds `high_water` records, merging
+    /// Compact a ring whenever it holds `high_water` records, merging
     /// any run of adjacent same-signature records.
     pub fn with_high_water(high_water: usize) -> Self {
         Self {
-            stripe_high_water: high_water,
+            high_water,
             max_merge_duration: f64::INFINITY,
         }
     }
@@ -81,7 +76,7 @@ impl CompactPolicy {
 
     /// Whether this policy ever compacts.
     pub fn is_enabled(&self) -> bool {
-        self.stripe_high_water > 0
+        self.high_water > 0
     }
 }
 
@@ -91,7 +86,7 @@ impl Default for CompactPolicy {
     }
 }
 
-/// Drain/export ordering: `(begin, end)`, the key the old global sort used.
+/// Drain/export ordering: `(begin, end)`.
 pub(crate) fn cmp_time(a: &TraceRecord, b: &TraceRecord) -> Ordering {
     a.begin
         .partial_cmp(&b.begin)
@@ -162,52 +157,6 @@ pub fn compact_records(buf: &mut Vec<TraceRecord>, policy: &CompactPolicy) -> us
     }
     buf.truncate(write);
     before - write
-}
-
-/// K-way merge of pre-sorted runs into one `(begin, end)`-ordered vector.
-/// Ties across runs resolve to the lower run index, which reproduces the
-/// old stable global sort of the runs' concatenation record-for-record
-/// (proptested in `tests/properties.rs`).
-pub fn merge_runs(mut runs: Vec<Vec<TraceRecord>>) -> Vec<TraceRecord> {
-    runs.retain(|r| !r.is_empty());
-    // tournament of two-way merges: log2(stripes) passes of the cheapest
-    // possible inner loop (one comparison, move not clone, per record).
-    // Merging *adjacent* runs keeps equal keys in run-index order at every
-    // round, so the result is the stable global sort of the concatenation.
-    while runs.len() > 1 {
-        let mut next = Vec::with_capacity(runs.len().div_ceil(2));
-        let mut it = runs.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => next.push(merge_two(a, b)),
-                None => next.push(a),
-            }
-        }
-        runs = next;
-    }
-    runs.pop().unwrap_or_default()
-}
-
-/// Stable two-way merge: ties go to `a`, the lower-index run.
-fn merge_two(a: Vec<TraceRecord>, b: Vec<TraceRecord>) -> Vec<TraceRecord> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let mut a = a.into_iter();
-    let mut b = b.into_iter();
-    let (mut x, mut y) = (a.next(), b.next());
-    while let (Some(ra), Some(rb)) = (&x, &y) {
-        if cmp_time(rb, ra) == Ordering::Less {
-            out.push(y.take().expect("checked Some"));
-            y = b.next();
-        } else {
-            out.push(x.take().expect("checked Some"));
-            x = a.next();
-        }
-    }
-    out.extend(x);
-    out.extend(a);
-    out.extend(y);
-    out.extend(b);
-    out
 }
 
 #[cfg(test)]
@@ -312,22 +261,5 @@ mod tests {
             compact_records(&mut buf, &CompactPolicy::with_high_water(1)),
             0
         );
-    }
-
-    #[test]
-    fn merge_runs_equals_stable_sort_of_concatenation() {
-        let runs = vec![
-            vec![rec("a", 0.0, 1.0), rec("a", 2.0, 3.0)],
-            vec![rec("b", 0.0, 1.0), rec("b", 1.5, 1.6)],
-            vec![],
-            vec![rec("c", 0.5, 0.6)],
-        ];
-        let mut reference: Vec<TraceRecord> = runs.iter().flatten().cloned().collect();
-        reference.sort_by(cmp_time);
-        let merged = merge_runs(runs);
-        assert_eq!(merged, reference);
-        // the (0.0, 1.0) tie resolved to run 0's record first
-        assert_eq!(merged[0].name, id("a"));
-        assert_eq!(merged[1].name, id("b"));
     }
 }

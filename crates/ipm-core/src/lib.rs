@@ -67,7 +67,7 @@ pub mod trace;
 pub mod xml;
 
 pub use aggregate::{ClusterReport, ClusterSnapshot, RankSpread};
-pub use compact::{compact_records, merge_runs, same_signature, CompactPolicy, TraceAgg};
+pub use compact::{compact_records, same_signature, CompactPolicy, TraceAgg};
 pub use compat::LegacyMirror;
 pub use cube::{build_cube, cube_to_xml, render_cube_text, CubeMetric};
 pub use cuda_mon::IpmCuda;

@@ -57,9 +57,7 @@ pub struct IpmConfig {
     /// Trace-ring capacity in records; 0 disables event tracing entirely
     /// (the aggregate-only mode of the original paper).
     pub trace_capacity: usize,
-    /// Trace-ring lock stripes.
-    pub trace_shards: usize,
-    /// Trace retention policy: when a stripe passes its high-water mark,
+    /// Trace retention policy: when the ring passes its high-water mark,
     /// adjacent same-signature records merge into summary records instead
     /// of the ring dropping once full. Disabled by default.
     pub trace_compaction: CompactPolicy,
@@ -83,7 +81,6 @@ impl Default for IpmConfig {
             table_capacity: crate::table::DEFAULT_CAPACITY,
             exec_time_correction: None,
             trace_capacity: crate::trace::DEFAULT_TRACE_CAPACITY,
-            trace_shards: crate::trace::DEFAULT_TRACE_SHARDS,
             trace_compaction: CompactPolicy::DISABLED,
             snapshot_overhead_budget: 0.01,
         }
@@ -116,8 +113,8 @@ impl IpmConfig {
         self
     }
 
-    /// Enable trace compaction: stripes past `high_water` resident records
-    /// merge adjacent same-signature records into summaries instead of
+    /// Enable trace compaction: a ring past `high_water` resident records
+    /// merges adjacent same-signature records into summaries instead of
     /// eventually dropping.
     pub fn with_trace_compaction(mut self, high_water: usize) -> Self {
         self.trace_compaction = CompactPolicy::with_high_water(high_water);
@@ -287,9 +284,8 @@ impl Ipm {
                 command: "<unknown>".to_owned(),
             }),
             epoch: Mutex::new(None),
-            trace: (cfg.trace_capacity > 0).then(|| {
-                TraceRing::with_policy(cfg.trace_capacity, cfg.trace_shards, cfg.trace_compaction)
-            }),
+            trace: (cfg.trace_capacity > 0)
+                .then(|| TraceRing::with_policy(cfg.trace_capacity, cfg.trace_compaction)),
             self_ns: AtomicU64::new(0),
             self_events: AtomicU64::new(0),
             snap: Mutex::new(SnapState::default()),
@@ -470,7 +466,7 @@ impl Ipm {
     }
 
     /// Current self-accounting counters. The four trace counters come from
-    /// one consistent [`TraceRing::counters`] sweep, so the reported ledger
+    /// one consistent [`TraceRing::counters`] read, so the reported ledger
     /// closes (`captured + dropped + compacted == emitted`) even when this
     /// is sampled mid-run with writers still pushing.
     pub fn monitor_info(&self) -> MonitorInfo {
@@ -822,7 +818,6 @@ mod tests {
         let clock = SimClock::new();
         let cfg = IpmConfig {
             trace_capacity: 1 << 10,
-            trace_shards: 1,
             ..IpmConfig::default()
         }
         .with_trace_compaction(8);

@@ -4,11 +4,12 @@
 //! banner summarizes, event ordering is lost. This module adds the
 //! event-stream layer modern GPU telemetry systems build on:
 //!
-//! * [`TraceRing`] — a bounded, lock-striped ring capturing one compact
-//!   [`TraceRecord`] per wrapped call, KTT completion, and
-//!   `@CUDA_HOST_IDLE` interval, with **exact drop accounting**: the
-//!   invariant `captured + dropped == emitted` holds at every instant,
-//!   under concurrent emission, whether or not the ring overflowed.
+//! * [`TraceRing`] — a bounded per-rank ring (one buffer under one lock)
+//!   capturing one compact [`TraceRecord`] per wrapped call, KTT
+//!   completion, and `@CUDA_HOST_IDLE` interval, with **exact drop
+//!   accounting**: the invariant `captured + dropped == emitted` holds at
+//!   every instant, under concurrent emission, whether or not the ring
+//!   overflowed.
 //! * [`TraceRank`] — one rank's exporter input: its records, the device
 //!   ground truth (`gpu-sim` [`ProfRecord`]s), and the clock-alignment
 //!   epoch. Rendering lives in the unified [`crate::export`] pipeline
@@ -16,19 +17,21 @@
 //!   are re-exported below so established `trace::` paths keep working.
 //!
 //! Retention is layered on by [`crate::compact`]: a [`CompactPolicy`] makes
-//! a stripe past its high-water mark merge adjacent same-signature records
+//! a ring past its high-water mark merge adjacent same-signature records
 //! into summary records (so long runs keep timeline shape under the hard
-//! cap), stripes maintain pre-sorted runs, drains k-way merge instead of
-//! globally sorting, and the accounting invariant widens to
+//! cap), and the accounting invariant widens to
 //! `captured + dropped + compacted_away == emitted`.
 
 use crate::compact::{cmp_time, compact_records, CompactPolicy, TraceAgg};
 use ipm_gpu_sim::ProfRecord;
 use ipm_interpose::CallId;
+// Model-checking flavour: under `--cfg loom` the ring lock is a loom mutex,
+// so every interleaving of concurrent pushes and drains is explored (see
+// `tests/loom.rs`). The APIs are identical.
+#[cfg(loom)]
+use loom::sync::Mutex;
 #[cfg(not(loom))]
-use std::cell::UnsafeCell;
-#[cfg(not(loom))]
-use std::sync::atomic::{AtomicBool, Ordering};
+use parking_lot::Mutex;
 
 // ---------------------------------------------------------------------------
 // Records
@@ -139,109 +142,12 @@ impl TraceRecord {
 // The ring
 // ---------------------------------------------------------------------------
 
-/// Default total ring capacity (records, across all stripes).
+/// Default ring capacity (records).
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
-/// Default number of lock stripes.
-pub const DEFAULT_TRACE_SHARDS: usize = 8;
 
-/// Minimal spin mutex for ring stripes. Uncontended acquire is one
-/// compare-exchange and release one store — roughly half the cost of a
-/// futex-backed mutex, which matters at the per-wrapped-call push rate.
-/// Contention is rare (stripes × rotating writers) and critical sections
-/// are tiny appends, so spinning on the exceptional conflict is cheap.
-#[cfg(not(loom))]
-struct SpinLock<T> {
-    locked: AtomicBool,
-    data: UnsafeCell<T>,
-}
-
-// SAFETY: the lock protocol below gives exclusive &mut access to `data`
-// between a successful compare-exchange (Acquire) and the guard's release
-// store, so sharing across threads is sound for Send payloads.
-#[cfg(not(loom))]
-unsafe impl<T: Send> Send for SpinLock<T> {}
-#[cfg(not(loom))]
-unsafe impl<T: Send> Sync for SpinLock<T> {}
-
-// Model-checking flavour: a raw spin loop never yields to loom's cooperative
-// scheduler, so under `--cfg loom` the stripe lock becomes a scheduler-aware
-// mutex (blocked threads are unschedulable, keeping exploration finite).
-// The guard API is identical, callers don't change.
-#[cfg(loom)]
-struct SpinLock<T> {
-    inner: loom::sync::Mutex<T>,
-}
-
-#[cfg(loom)]
-impl<T> SpinLock<T> {
-    fn new(value: T) -> Self {
-        Self {
-            inner: loom::sync::Mutex::new(value),
-        }
-    }
-
-    fn lock(&self) -> loom::sync::MutexGuard<'_, T> {
-        self.inner.lock()
-    }
-}
-
-#[cfg(not(loom))]
-impl<T> SpinLock<T> {
-    fn new(value: T) -> Self {
-        Self {
-            locked: AtomicBool::new(false),
-            data: UnsafeCell::new(value),
-        }
-    }
-
-    fn lock(&self) -> SpinGuard<'_, T> {
-        loop {
-            if self
-                .locked
-                .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
-                .is_ok()
-            {
-                return SpinGuard { lock: self };
-            }
-            while self.locked.load(Ordering::Relaxed) {
-                std::hint::spin_loop();
-            }
-        }
-    }
-}
-
-#[cfg(not(loom))]
-struct SpinGuard<'a, T> {
-    lock: &'a SpinLock<T>,
-}
-
-#[cfg(not(loom))]
-impl<T> std::ops::Deref for SpinGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        // SAFETY: the guard holds the lock
-        unsafe { &*self.lock.data.get() }
-    }
-}
-
-#[cfg(not(loom))]
-impl<T> std::ops::DerefMut for SpinGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: the guard holds the lock exclusively
-        unsafe { &mut *self.lock.data.get() }
-    }
-}
-
-#[cfg(not(loom))]
-impl<T> Drop for SpinGuard<'_, T> {
-    fn drop(&mut self) {
-        self.lock.locked.store(false, Ordering::Release);
-    }
-}
-
-/// A consistent sample of a ring's cumulative counters, taken with one
-/// lock acquisition per stripe (see [`TraceRing::counters`]); always
-/// satisfies `captured + dropped + compacted == emitted`.
+/// A consistent sample of a ring's cumulative counters, taken under one
+/// lock acquisition (see [`TraceRing::counters`]); always satisfies
+/// `captured + dropped + compacted == emitted`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct TraceCounters {
     /// Records offered (the sum of the other three).
@@ -254,95 +160,72 @@ pub struct TraceCounters {
     pub compacted: u64,
 }
 
-/// One lock stripe: its record buffer plus bookkeeping that only ever
-/// changes under the stripe lock (so it needs no atomics of its own).
+/// The ring's record buffer plus bookkeeping that only ever changes under
+/// the ring's lock (so it needs no atomics of its own).
 #[derive(Default)]
-struct Shard {
-    buf: Vec<TraceRecord>,
-    /// Most records ever resident in this stripe.
+struct Buffer {
+    records: Vec<TraceRecord>,
+    /// Most records ever resident.
     hwm: usize,
-    /// Records this stripe has stored and still accounts for (cumulative,
-    /// survives drains; a compaction pass moves the merged-away count from
-    /// here to `compacted_away`, so `captured` always tallies records that
-    /// were either drained raw or are resident — raw or inside a summary's
+    /// Records stored and still accounted for (cumulative, survives
+    /// drains; a compaction pass moves the merged-away count from here to
+    /// `compacted_away`, so `captured` always tallies records that were
+    /// either drained raw or are resident — raw or inside a summary's
     /// `event_count`).
     captured: u64,
-    /// Records this stripe has refused.
+    /// Records refused.
     dropped: u64,
     /// Records absorbed into summaries by compaction passes.
     compacted_away: u64,
     /// Set when an append broke the buffer's `(begin, end)` order; cleared
-    /// by the sort that precedes a compaction pass or drain. Records are
-    /// appended in virtual-time order per thread, so this trips only when
-    /// stripe rotation interleaves writers — the common case is a cheap
-    /// tail comparison and no sort at all.
+    /// by the sort that precedes a compaction pass or drain. A rank appends
+    /// in virtual-time order except when an interval is reported after a
+    /// later one (a KTT sweep's kernel completions, a host-idle interval),
+    /// so the common case is a cheap tail comparison and no sort at all.
     unsorted: bool,
     /// Amortization gate: the next compaction pass runs only once the
-    /// buffer has grown past this, so a stripe full of unmergeable records
+    /// buffer has grown past this, so a buffer full of unmergeable records
     /// doesn't pay an O(len) scan on every push.
     compact_gate: usize,
 }
 
-/// A bounded, lock-striped trace ring.
+/// A bounded per-rank trace ring: one buffer under one lock.
 ///
-/// Writers pick a stripe round-robin (via a per-thread counter, so the hot
-/// path takes no shared atomics at all) and append under that stripe's
-/// lock only; a full ring drops the *new* record (launches must never
-/// block on telemetry). Drop accounting is exact by construction: every
-/// offer increments exactly one of the stripe's `captured` or `dropped`
-/// counters under its lock, a compaction pass moves absorbed records from
-/// `captured` to `compacted_away` under the same lock, and `emitted` is
-/// *defined* as the sum of all three — so
-/// `captured + dropped + compacted_away == emitted` holds at every
-/// instant, under any interleaving (with compaction disabled,
-/// `compacted_away` stays 0 and this is the PR 1 invariant).
+/// A full ring drops the *new* record (launches must never block on
+/// telemetry). Drop accounting is exact by construction: every offer
+/// increments exactly one of `captured` or `dropped` under the lock, a
+/// compaction pass moves absorbed records from `captured` to
+/// `compacted_away` under the same lock, and `emitted` is *defined* as the
+/// sum of all three — so `captured + dropped + compacted_away == emitted`
+/// holds at every instant, under any interleaving of pushers (with
+/// compaction disabled, `compacted_away` stays 0).
 pub struct TraceRing {
-    shards: Vec<SpinLock<Shard>>,
-    per_shard: usize,
+    buffer: Mutex<Buffer>,
+    capacity: usize,
     policy: CompactPolicy,
-    /// Stripe rotation granularity (log2): writers stay on one stripe for
-    /// `1 << rot_shift` consecutive pushes before moving on. (Unused by the
-    /// loom build, whose stripe pick is pinned per modeled thread.)
-    #[cfg_attr(loom, allow(dead_code))]
-    rot_shift: u32,
 }
 
 impl TraceRing {
-    /// Ring with `capacity` total record slots split over `shards` stripes
-    /// and compaction disabled (a full stripe drops). Both are clamped to
-    /// at least 1; per-stripe capacity rounds up so the usable total is
-    /// never below `capacity`.
-    pub fn new(capacity: usize, shards: usize) -> Self {
-        Self::with_policy(capacity, shards, CompactPolicy::DISABLED)
+    /// Ring with `capacity` record slots (clamped to at least 1) and
+    /// compaction disabled (a full ring drops).
+    pub fn new(capacity: usize) -> Self {
+        Self::with_policy(capacity, CompactPolicy::DISABLED)
     }
 
-    /// Ring with an explicit retention policy: once a stripe holds
-    /// `policy.stripe_high_water` records, pushes first run a compaction
-    /// pass merging adjacent same-signature records into summaries.
-    pub fn with_policy(capacity: usize, shards: usize, policy: CompactPolicy) -> Self {
-        let capacity = capacity.max(1);
-        // power-of-two stripe count: the hot-path stripe pick is a mask,
-        // not a division
-        let shards = shards.max(1).min(capacity).next_power_of_two();
-        let per_shard = capacity.div_ceil(shards);
-        // sticky rotation (64-push blocks) keeps a writer's stripe
-        // cache-warm, but only when blocks tile stripes exactly — otherwise
-        // a sequential fill could hit a full stripe while others have room,
-        // dropping before `capacity` records are resident
-        let rot_shift = if per_shard.is_multiple_of(64) { 6 } else { 0 };
+    /// Ring with an explicit retention policy: once the ring holds
+    /// `policy.high_water` records, pushes first run a compaction pass
+    /// merging adjacent same-signature records into summaries.
+    pub fn with_policy(capacity: usize, policy: CompactPolicy) -> Self {
         Self {
-            shards: (0..shards)
-                .map(|_| SpinLock::new(Shard::default()))
-                .collect(),
-            per_shard,
+            buffer: Mutex::new(Buffer::default()),
+            capacity: capacity.max(1),
             policy,
-            rot_shift,
         }
     }
 
     /// Total record capacity.
     pub fn capacity(&self) -> usize {
-        self.per_shard * self.shards.len()
+        self.capacity
     }
 
     /// The retention policy this ring was built with.
@@ -350,117 +233,71 @@ impl TraceRing {
         self.policy
     }
 
-    /// Round-robin stripe pick without shared state: each thread advances
-    /// its own counter, rotating stripes every `1 << rot_shift` pushes.
-    /// Sticky rotation keeps the stripe's lock and buffer tail cache-warm
-    /// across a burst while still spreading one thread's records over all
-    /// stripes (so a single rank thread can use the full capacity).
-    #[cfg(not(loom))]
-    fn shard_index(&self) -> usize {
-        use std::cell::Cell;
-        thread_local! {
-            static ROBIN: Cell<usize> = const { Cell::new(0) };
-        }
-        let n = ROBIN.with(|c| {
-            let v = c.get();
-            c.set(v.wrapping_add(1));
-            v
-        });
-        (n >> self.rot_shift) & (self.shards.len() - 1) // stripe count is a power of two
-    }
-
-    /// Model-checking flavour: the per-OS-thread round-robin counter would
-    /// leak state across loom's replayed executions (the driver thread is
-    /// reused), breaking schedule determinism. Pin each modeled thread to
-    /// the stripe matching its loom index instead — the invariants under
-    /// test are stripe-agnostic, and models force contention with a
-    /// single-stripe ring anyway.
-    #[cfg(loom)]
-    fn shard_index(&self) -> usize {
-        loom::managed_thread_index().unwrap_or(0) & (self.shards.len() - 1)
-    }
-
     /// Offer one record; returns `false` (and counts a drop) if the ring
-    /// is full. Never blocks beyond one stripe lock; the hot path is one
-    /// uncontended lock and plain arithmetic under it. With a retention
-    /// policy set, a stripe at its high-water mark first compacts in place
-    /// (amortized by `compact_gate`, so unmergeable workloads degrade to
-    /// the plain drop path rather than rescanning every push).
+    /// is full. The hot path is one uncontended lock and plain arithmetic
+    /// under it. With a retention policy set, a ring at its high-water
+    /// mark first compacts in place (amortized by `compact_gate`, so
+    /// unmergeable workloads degrade to the plain drop path rather than
+    /// rescanning every push).
     pub fn push(&self, rec: TraceRecord) -> bool {
-        let mut shard = self.shards[self.shard_index()].lock();
+        let mut b = self.buffer.lock();
         if self.policy.is_enabled()
-            && shard.buf.len() >= self.policy.stripe_high_water
-            && shard.buf.len() >= shard.compact_gate
+            && b.records.len() >= self.policy.high_water
+            && b.records.len() >= b.compact_gate
         {
-            if shard.unsorted {
-                shard.buf.sort_by(cmp_time);
-                shard.unsorted = false;
+            if std::mem::take(&mut b.unsorted) {
+                b.records.sort_by(cmp_time);
             }
-            let before = shard.buf.len();
-            let removed = compact_records(&mut shard.buf, &self.policy) as u64;
-            shard.captured -= removed;
-            shard.compacted_away += removed;
-            shard.compact_gate = shard.buf.len() + before / 8;
+            let before = b.records.len();
+            let removed = compact_records(&mut b.records, &self.policy) as u64;
+            b.captured -= removed;
+            b.compacted_away += removed;
+            b.compact_gate = b.records.len() + before / 8;
         }
-        if shard.buf.len() >= self.per_shard {
-            shard.dropped += 1;
+        if b.records.len() >= self.capacity {
+            b.dropped += 1;
             return false;
         }
-        if shard
-            .buf
+        if b.records
             .last()
             .is_some_and(|last| cmp_time(&rec, last).is_lt())
         {
-            shard.unsorted = true;
+            b.unsorted = true;
         }
-        shard.buf.push(rec);
-        shard.captured += 1;
-        if shard.buf.len() > shard.hwm {
-            shard.hwm = shard.buf.len();
-        }
+        b.records.push(rec);
+        b.captured += 1;
+        b.hwm = b.hwm.max(b.records.len());
         true
     }
 
     /// Records offered so far (captured plus dropped plus compacted away).
     pub fn emitted(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(|s| {
-                let g = s.lock();
-                g.captured + g.dropped + g.compacted_away
-            })
-            .sum()
+        self.counters().emitted
     }
 
-    /// All cumulative counters in one sweep, each stripe read under a
-    /// single lock acquisition. Because every stripe's triple is sampled
-    /// atomically (and `emitted` is their sum by definition), the returned
-    /// snapshot satisfies `captured + dropped + compacted == emitted` even
-    /// while writers and compaction passes are running — unlike combining
-    /// the individual accessors, which sweep the stripes once each and can
-    /// interleave with concurrent pushes.
+    /// All cumulative counters, read under one lock acquisition, so the
+    /// returned sample satisfies `captured + dropped + compacted ==
+    /// emitted` even while writers and compaction passes are running.
     pub fn counters(&self) -> TraceCounters {
-        let mut c = TraceCounters::default();
-        for shard in &self.shards {
-            let g = shard.lock();
-            c.captured += g.captured;
-            c.dropped += g.dropped;
-            c.compacted += g.compacted_away;
-            c.emitted += g.captured + g.dropped + g.compacted_away;
+        let b = self.buffer.lock();
+        TraceCounters {
+            emitted: b.captured + b.dropped + b.compacted_away,
+            captured: b.captured,
+            dropped: b.dropped,
+            compacted: b.compacted_away,
         }
-        c
     }
 
     /// Records stored and still individually accounted for (drained
     /// records still count; records absorbed into summaries move to
     /// [`TraceRing::compacted_away`]).
     pub fn captured(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().captured).sum()
+        self.buffer.lock().captured
     }
 
     /// Records refused because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().dropped).sum()
+        self.buffer.lock().dropped
     }
 
     /// Records absorbed into summary records by compaction passes. Their
@@ -468,12 +305,12 @@ impl TraceRing {
     /// Σ `event_count` over resident + drained records always equals
     /// `emitted - dropped`.
     pub fn compacted_away(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().compacted_away).sum()
+        self.buffer.lock().compacted_away
     }
 
     /// Records currently resident.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().buf.len()).sum()
+        self.buffer.lock().records.len()
     }
 
     /// Whether no records are resident.
@@ -481,12 +318,10 @@ impl TraceRing {
         self.len() == 0
     }
 
-    /// High-water mark of resident records: the sum of each stripe's own
-    /// high-water mark. Stripes fill independently, so this is an upper
-    /// bound on the instantaneous global maximum (and equal to it for the
-    /// usual fill-then-drain lifecycle), never exceeding capacity.
+    /// High-water mark of resident records: the most records the ring has
+    /// ever held at once (exact, never exceeding capacity).
     pub fn high_water_mark(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().hwm as u64).sum()
+        self.buffer.lock().hwm as u64
     }
 
     /// High-water memory footprint in bytes (record slots only).
@@ -496,50 +331,33 @@ impl TraceRing {
 
     /// Remove and return every resident record in `(begin, end)` order.
     /// Frees ring space for further capture; counters are cumulative and
-    /// unaffected. Each stripe hands over a pre-sorted run (sorting only
-    /// if interleaved writers actually broke its order) and the runs are
-    /// k-way merged — same record-for-record output as the old global
-    /// sort, without re-sorting the already-ordered bulk on the consumer
-    /// thread.
+    /// unaffected. The sort is stable and runs outside the lock, only if a
+    /// push broke the buffer's order.
     pub fn drain(&self) -> Vec<TraceRecord> {
-        let mut runs = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            let (mut run, unsorted) = {
-                let mut g = shard.lock();
-                (std::mem::take(&mut g.buf), std::mem::take(&mut g.unsorted))
-            };
-            if unsorted {
-                run.sort_by(cmp_time);
-            }
-            runs.push(run);
+        let (mut records, unsorted) = {
+            let mut b = self.buffer.lock();
+            (
+                std::mem::take(&mut b.records),
+                std::mem::take(&mut b.unsorted),
+            )
+        };
+        if unsorted {
+            records.sort_by(cmp_time);
         }
-        crate::compact::merge_runs(runs)
+        records
     }
 
-    /// Copy every resident record without removing it, in `(begin, end)`
-    /// order (k-way merge of the per-stripe runs, like [`TraceRing::drain`]).
+    /// Copy every resident record without removing it, in the same
+    /// `(begin, end)` order [`TraceRing::drain`] returns.
     pub fn snapshot(&self) -> Vec<TraceRecord> {
-        crate::compact::merge_runs(self.snapshot_runs())
-    }
-
-    /// Copy each stripe's resident records as its own sorted run, without
-    /// removing anything. This is the merge input [`TraceRing::snapshot`]
-    /// consumes; exposed so tests and benches can compare the k-way merge
-    /// against a reference global sort, and so streaming consumers can
-    /// merge incrementally.
-    pub fn snapshot_runs(&self) -> Vec<Vec<TraceRecord>> {
-        let mut runs = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            let (mut run, unsorted) = {
-                let g = shard.lock();
-                (g.buf.clone(), g.unsorted)
-            };
-            if unsorted {
-                run.sort_by(cmp_time);
-            }
-            runs.push(run);
+        let (mut records, unsorted) = {
+            let b = self.buffer.lock();
+            (b.records.clone(), b.unsorted)
+        };
+        if unsorted {
+            records.sort_by(cmp_time);
         }
-        runs
+        records
     }
 }
 
@@ -611,7 +429,7 @@ mod tests {
 
     #[test]
     fn ring_accounting_is_exact_without_overflow() {
-        let ring = TraceRing::new(16, 4);
+        let ring = TraceRing::new(16);
         for i in 0..10 {
             assert!(ring.push(call("x", i as f64, i as f64 + 0.5)));
         }
@@ -625,7 +443,7 @@ mod tests {
 
     #[test]
     fn full_ring_drops_and_accounts() {
-        let ring = TraceRing::new(4, 2);
+        let ring = TraceRing::new(4);
         let mut accepted = 0;
         for i in 0..20 {
             if ring.push(call("x", i as f64, i as f64)) {
@@ -641,7 +459,7 @@ mod tests {
 
     #[test]
     fn drain_frees_space_and_sorts() {
-        let ring = TraceRing::new(8, 3);
+        let ring = TraceRing::new(8);
         for &t in &[3.0, 1.0, 2.0] {
             ring.push(call("x", t, t + 0.1));
         }
@@ -656,7 +474,7 @@ mod tests {
 
     #[test]
     fn concurrent_emission_keeps_accounting_exact() {
-        let ring = Arc::new(TraceRing::new(256, 8));
+        let ring = Arc::new(TraceRing::new(256));
         std::thread::scope(|scope| {
             for t in 0..8 {
                 let ring = ring.clone();
@@ -674,8 +492,7 @@ mod tests {
 
     #[test]
     fn compacting_ring_stays_under_high_water_and_conserves() {
-        // single stripe so the high-water arithmetic is easy to reason about
-        let ring = TraceRing::with_policy(1 << 12, 1, CompactPolicy::with_high_water(64));
+        let ring = TraceRing::with_policy(1 << 12, CompactPolicy::with_high_water(64));
         let n: u64 = 10_000;
         for i in 0..n {
             let t = i as f64 * 0.001;
@@ -687,7 +504,7 @@ mod tests {
             ring.captured() + ring.dropped() + ring.compacted_away(),
             ring.emitted()
         );
-        // the gate lets a stripe overshoot the high-water mark by at most
+        // the gate lets the ring overshoot the high-water mark by at most
         // len/8 between passes; it must stay far below the raw count
         assert!(ring.len() <= 64 + 64 / 8 + 1, "resident: {}", ring.len());
         let resident = ring.drain();
@@ -699,7 +516,7 @@ mod tests {
 
     #[test]
     fn disabled_policy_is_the_old_drop_behavior() {
-        let ring = TraceRing::with_policy(4, 2, CompactPolicy::DISABLED);
+        let ring = TraceRing::with_policy(4, CompactPolicy::DISABLED);
         for i in 0..20 {
             ring.push(call("x", i as f64, i as f64));
         }
@@ -709,10 +526,8 @@ mod tests {
     }
 
     #[test]
-    fn drain_merges_interleaved_stripes_in_time_order() {
-        // multiple stripes, each receiving an ordered subsequence; drain
-        // must interleave them globally by (begin, end)
-        let ring = TraceRing::new(64, 4);
+    fn drain_returns_every_record_in_time_order() {
+        let ring = TraceRing::new(64);
         for i in 0..32 {
             ring.push(call("x", i as f64, i as f64 + 0.5));
         }
@@ -725,7 +540,7 @@ mod tests {
 
     #[test]
     fn counters_sweep_matches_individual_accessors() {
-        let ring = TraceRing::with_policy(8, 2, CompactPolicy::with_high_water(2));
+        let ring = TraceRing::with_policy(8, CompactPolicy::with_high_water(2));
         for i in 0..50 {
             ring.push(call("x", i as f64, i as f64 + 0.5));
         }
@@ -739,11 +554,10 @@ mod tests {
 
     #[test]
     fn counters_ledger_closes_while_writers_race() {
-        // the single-lock-per-stripe sweep must return a closing ledger at
-        // any instant, concurrent pushes notwithstanding
+        // the one-lock counter read must return a closing ledger at any
+        // instant, concurrent pushes notwithstanding
         let ring = Arc::new(TraceRing::with_policy(
             64,
-            4,
             CompactPolicy::with_high_water(8),
         ));
         std::thread::scope(|scope| {

@@ -1,5 +1,5 @@
 //! Exhaustive schedule exploration of the two concurrency-critical monitor
-//! structures: the lock-striped trace ring and the perf table's delta-cell
+//! structures: the per-rank trace ring and the perf table's delta-cell
 //! flush. Compiled (and run) only under `RUSTFLAGS="--cfg loom"`:
 //!
 //! ```text
@@ -32,13 +32,13 @@ fn rec(name: &str, begin: f64) -> TraceRecord {
 }
 
 /// The ring's core invariant, `captured + dropped == emitted`, under
-/// concurrent emitters contending for a single stripe that is too small for
+/// concurrent emitters contending for a ring that is too small for
 /// the combined load (so both the accept and the drop path are explored).
 #[test]
 fn trace_ring_accounting_is_exact_under_concurrent_emit() {
     loom::model(|| {
-        // capacity 3, one stripe: four offers => at least one drop.
-        let ring = Arc::new(TraceRing::new(3, 1));
+        // capacity 3: four offers => at least one drop.
+        let ring = Arc::new(TraceRing::new(3));
         let handles: Vec<_> = (0..2)
             .map(|t| {
                 let ring = Arc::clone(&ring);
@@ -70,7 +70,7 @@ fn trace_ring_accounting_is_exact_under_concurrent_emit() {
 #[test]
 fn trace_ring_drain_races_emitters_without_losing_records() {
     loom::model(|| {
-        let ring = Arc::new(TraceRing::new(4, 1));
+        let ring = Arc::new(TraceRing::new(4));
         let emitter = {
             let ring = Arc::clone(&ring);
             thread::spawn(move || {
@@ -95,19 +95,15 @@ fn trace_ring_drain_races_emitters_without_losing_records() {
 /// pass a compacting ring runs inside `push`. Whatever the interleaving,
 /// the widened ledger `captured + dropped + compacted_away == emitted` must
 /// close, no event's *accounting* may vanish (summary `event_count`s plus
-/// singletons recover every accepted offer), and every stripe run must come
-/// out pre-sorted — merge passes may never leave a stripe's buffer
-/// interleaved out of `(begin, end)` order.
+/// singletons recover every accepted offer), and a snapshot must come out
+/// in `(begin, end)` order — merge passes may never leave the buffer
+/// interleaved out of time order.
 #[test]
 fn trace_ring_compaction_races_writers_without_losing_accounting() {
     loom::model(|| {
-        // one stripe, high-water 2: every push beyond the second can
-        // trigger a merge pass while the other thread is mid-offer.
-        let ring = Arc::new(TraceRing::with_policy(
-            4,
-            1,
-            CompactPolicy::with_high_water(2),
-        ));
+        // high-water 2: every push beyond the second can trigger a merge
+        // pass while the other thread is mid-offer.
+        let ring = Arc::new(TraceRing::with_policy(4, CompactPolicy::with_high_water(2)));
         let handles: Vec<_> = (0..2)
             .map(|t| {
                 let ring = Arc::clone(&ring);
@@ -134,15 +130,12 @@ fn trace_ring_compaction_races_writers_without_losing_accounting() {
         );
         assert_eq!(ring.emitted() - ring.dropped(), accepted);
 
-        // stripe runs are pre-sorted: a merge pass must never leave a
-        // stripe interleaved out of time order
-        for run in ring.snapshot_runs() {
-            for w in run.windows(2) {
-                assert!(
-                    (w[0].begin, w[0].end) <= (w[1].begin, w[1].end),
-                    "stripe run out of order"
-                );
-            }
+        // a merge pass must never leave the snapshot out of time order
+        for w in ring.snapshot().windows(2) {
+            assert!(
+                (w[0].begin, w[0].end) <= (w[1].begin, w[1].end),
+                "snapshot out of order"
+            );
         }
 
         // effective conservation: summaries carry the counts of the

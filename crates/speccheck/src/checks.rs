@@ -321,7 +321,7 @@ pub fn run(spec: &[SpecRow], files: &[(Role, SourceFile)]) -> Vec<Diagnostic> {
     }
 
     // lock-across-call: no monitor may hold a let-bound guard across the
-    // real (wrapped) call — the sink/table takes its own stripes inside
+    // real (wrapped) call — the sink/table takes its own locks inside
     for (role, f) in files {
         if *role != Role::Monitor {
             continue;
@@ -348,7 +348,7 @@ pub fn run(spec: &[SpecRow], files: &[(Role, SourceFile)]) -> Vec<Diagnostic> {
         }
     }
 
-    // lock-order: the table/trace stripes must never nest
+    // lock-order: the table/trace locks must never nest
     for (role, f) in files {
         if *role != Role::LockDiscipline {
             continue;
@@ -367,7 +367,7 @@ pub fn run(spec: &[SpecRow], files: &[(Role, SourceFile)]) -> Vec<Diagnostic> {
                         file: f.rel.clone(),
                         line: c,
                         message: format!(
-                            "second `.lock()` while the stripe guard from line {} is held — stripes must never nest (waive with `speccheck: allow(lock-order)` for a documented lock order)",
+                            "second `.lock()` while the guard from line {} is held — table/trace locks must never nest (waive with `speccheck: allow(lock-order)` for a documented lock order)",
                             h.line
                         ),
                     });

@@ -99,7 +99,7 @@ fn shared_gpu_contention_is_visible_in_profiles() {
 }
 
 /// Trace compaction is observability-internal: an MD cluster run with the
-/// compactor off and one with a tight per-stripe cap must produce identical
+/// compactor off and one with a tight high-water mark must produce identical
 /// profiles — same wallclocks, same regions, same `@CUDA_EXEC_STRMxx` and
 /// `@CUDA_HOST_IDLE` totals, entry-for-entry equal perf tables — while the
 /// compacted run's widened trace ledger still accounts for exactly the

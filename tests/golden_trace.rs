@@ -48,7 +48,7 @@ fn rec(
 /// clock (everything offset by its epoch `e`). Dyadic timestamps keep the
 /// exported microsecond values integral, so the JSON is stable digit-for-digit.
 fn rank(r: usize, e: f64, corr: u64) -> TraceRank {
-    let ring = TraceRing::with_policy(64, 1, CompactPolicy::with_high_water(4));
+    let ring = TraceRing::with_policy(64, CompactPolicy::with_high_water(4));
     for i in 0..6 {
         let b = e + i as f64 * 0.25;
         ring.push(rec(
@@ -77,7 +77,7 @@ fn rank(r: usize, e: f64, corr: u64) -> TraceRank {
         corr,
     ));
     // pushed after the exec record but earlier in time: exercises the
-    // per-stripe sort before the merged drain
+    // sort before the drain
     ring.push(rec(
         TraceKind::HostIdle,
         "@CUDA_HOST_IDLE",

@@ -3,7 +3,7 @@
 use ipm_repro::interpose::CallHandle;
 use ipm_repro::ipm::parse::export_from_xml;
 use ipm_repro::ipm::{
-    banner_from_xml, chrome_trace_from_xml, from_xml, merge_runs, to_xml, trace_from_xml,
+    banner_from_xml, chrome_trace_from_xml, from_xml, to_xml, trace_from_xml,
     validate_chrome_trace, ChromeTrace, CompactPolicy, Export, PerfTable, ProfileEntry,
     RankProfile, SigKey, TraceAgg, TraceKind, TraceRank, TraceRecord, TraceRing, Xml,
 };
@@ -485,16 +485,15 @@ fn trace_rec(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     /// Under concurrent emission from several ranks' worth of threads, the
-    /// trace ring's books balance exactly whatever the capacity and stripe
-    /// shape: captured + dropped == emitted, and a drain hands back
-    /// precisely the captured records in timestamp order.
+    /// trace ring's books balance exactly whatever the capacity: captured +
+    /// dropped == emitted, and a drain hands back precisely the captured
+    /// records in timestamp order.
     #[test]
     fn trace_ring_accounting_exact_under_concurrent_emission(
         capacity in 1usize..257,
-        shards in 1usize..9,
         pushes in prop::collection::vec(0usize..300, 1..5),
     ) {
-        let ring = TraceRing::new(capacity, shards);
+        let ring = TraceRing::new(capacity);
         std::thread::scope(|s| {
             for (t, &n) in pushes.iter().enumerate() {
                 let ring = &ring;
@@ -634,21 +633,18 @@ const Q: f64 = 1.0 / (1 << 20) as f64;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     /// Compaction conserves per-signature event count and total busy time
-    /// EXACTLY (not approximately), whatever the record stream, cap, or
-    /// stripe shape; summary min/max never escape the durations actually
-    /// merged; and the widened accounting invariant closes.
+    /// EXACTLY (not approximately), whatever the record stream or cap;
+    /// summary min/max never escape the durations actually merged; and the
+    /// widened accounting invariant closes.
     #[test]
     fn compaction_conserves_per_signature_count_and_time(
         capacity in 32usize..400,
-        shards in 1usize..5,
         high_water in 4usize..48,
         // (signature index, duration steps, gap steps)
         stream in prop::collection::vec((0usize..4, 1u32..64, 0u32..32), 1..400),
     ) {
         let names = ["cudaLaunch", "cudaMemcpy(H2D)", "MPI_Allreduce", "@CUDA_HOST_IDLE"];
-        let ring = TraceRing::with_policy(
-            capacity, shards, CompactPolicy::with_high_water(high_water),
-        );
+        let ring = TraceRing::with_policy(capacity, CompactPolicy::with_high_water(high_water));
         // reference model: per-signature (count, total, min, max) over the
         // records the ring actually accepted
         let mut model = std::collections::HashMap::<usize, (u64, f64, f64, f64)>::new();
@@ -699,22 +695,17 @@ proptest! {
         }
     }
 
-    /// A compacted multi-stripe drain always exports to structurally valid
-    /// Chrome trace JSON. Writers rotate stripes, so each stripe compacts
-    /// an interleaved subsequence of a burst and per-stripe summaries can
-    /// partially overlap in time — the exporter must render summaries as
-    /// self-contained `X` events (B/E nesting cannot express the overlap).
+    /// A compacted drain always exports to structurally valid Chrome trace
+    /// JSON, summaries rendered as self-contained `X` events among the raw
+    /// `B`/`E` slices.
     #[test]
-    fn compacted_multi_stripe_drain_exports_valid_chrome_trace(
-        shards in 1usize..9,
+    fn compacted_drain_exports_valid_chrome_trace(
         high_water in 2usize..24,
         // (signature index, duration steps, gap steps)
         stream in prop::collection::vec((0usize..4, 1u32..64, 0u32..16), 1..400),
     ) {
         let names = ["cudaLaunch", "cudaMemcpy(H2D)", "@CUDA_HOST_IDLE", "@CUDA_EXEC_STRM00"];
-        let ring = TraceRing::with_policy(
-            1 << 12, shards, CompactPolicy::with_high_water(high_water),
-        );
+        let ring = TraceRing::with_policy(1 << 12, CompactPolicy::with_high_water(high_water));
         let mut t = 0.0f64;
         for &(sig, dur, gap) in &stream {
             let begin = t + gap as f64 * Q;
@@ -743,61 +734,51 @@ proptest! {
         }
     }
 
-    /// The k-way merged drain equals the old sort-everything drain
-    /// record-for-record on uncompacted input: merging the per-stripe runs
-    /// reproduces a stable global sort of the stripes' concatenation, ties
-    /// and all.
+    /// Drain and snapshot hand back the pushed records stable-sorted by
+    /// `(begin, end)`: records pushed out of time order come back sorted,
+    /// and records with equal keys keep their push order.
     #[test]
-    fn merged_drain_equals_global_sort_reference(
+    fn drain_is_stable_sort_of_push_order(
         capacity in 8usize..300,
-        shards in 1usize..9,
         // unordered (begin, duration) pairs, coarse enough to force ties
         stream in prop::collection::vec((0u32..24, 0u32..4), 1..300),
     ) {
-        let ring = TraceRing::new(capacity, shards);
+        let ring = TraceRing::new(capacity);
+        // the accepted records in push order, stable-sorted below
+        let mut reference = Vec::new();
         for (i, &(begin, dur)) in stream.iter().enumerate() {
-            ring.push(trace_rec(
+            let rec = trace_rec(
                 TraceKind::Call,
                 ["a", "b", "c"][i % 3],
                 begin as f64 * 0.125,
                 (begin + dur) as f64 * 0.125,
                 None,
                 i as u64 + 1, // distinct corrs make records distinguishable
-            ));
-        }
-        let runs = ring.snapshot_runs();
-        for run in &runs {
-            for w in run.windows(2) {
-                prop_assert!(
-                    (w[0].begin, w[0].end) <= (w[1].begin, w[1].end),
-                    "stripe run not pre-sorted"
-                );
+            );
+            if ring.push(rec.clone()) {
+                reference.push(rec);
             }
         }
-        // the old drain: concatenate stripes, stable-sort by (begin, end)
-        let mut reference: Vec<TraceRecord> = runs.iter().flatten().cloned().collect();
         reference.sort_by(|a, b| {
             a.begin
                 .partial_cmp(&b.begin)
                 .unwrap()
                 .then(a.end.partial_cmp(&b.end).unwrap())
         });
-        let merged = merge_runs(runs);
-        prop_assert_eq!(&merged, &reference, "merge differs from stable global sort");
-        prop_assert_eq!(&ring.snapshot(), &reference);
-        prop_assert_eq!(&ring.drain(), &reference);
+        prop_assert_eq!(&ring.snapshot(), &reference, "snapshot is not the stable sort");
+        prop_assert_eq!(&ring.drain(), &reference, "drain is not the stable sort");
     }
 }
 
-/// The ISSUE acceptance case, pinned as a plain test: a 1M-event synthetic
-/// run against a 4k-per-stripe cap stays under the cap without dropping a
-/// single event's accounting, and conserves per-signature count and busy
-/// time exactly.
+/// The retention acceptance case, pinned as a plain test: a 1M-event synthetic
+/// run against a 4k high-water mark stays at one summary per burst (far
+/// under the ring's capacity) without dropping a single event's accounting,
+/// and conserves per-signature count and busy time exactly.
 #[test]
 fn million_event_run_stays_under_cap_and_conserves() {
     const HW: usize = 4096;
     const N: u64 = 1_000_000;
-    let ring = TraceRing::with_policy(1 << 16, 8, CompactPolicy::with_high_water(HW));
+    let ring = TraceRing::with_policy(1 << 16, CompactPolicy::with_high_water(HW));
     let names = ["cudaLaunch", "cudaMemcpy(D2H)", "MPI_Send"];
     let mut t = 0.0f64;
     let mut pushed_per_sig = [0u64; 3];
@@ -817,9 +798,13 @@ fn million_event_run_stays_under_cap_and_conserves() {
         N,
         "accounting closes"
     );
-    // 8 stripes, each bounded by the high-water mark plus the compaction
-    // gate's len/8 overshoot allowance
-    let cap = 8 * (HW + HW / 8 + 1);
+    // A pass folds each 64-call burst into one summary, but adjacent
+    // bursts differ in signature, so the summaries never merge further: a
+    // pass leaves at most one record per burst begun so far (B). The gate
+    // then lets the buffer grow by a further len/8 before the next pass,
+    // so residency M obeys M <= max(HW, B + M/8), i.e. M <= max(HW, 8B/7).
+    let bursts = N.div_ceil(64) as usize;
+    let cap = HW.max(bursts + bursts / 7 + 1);
     assert!(
         ring.len() <= cap,
         "resident {} exceeds bound {cap}",
@@ -846,6 +831,77 @@ fn million_event_run_stays_under_cap_and_conserves() {
     }
     assert_eq!(count_per_sig, pushed_per_sig, "event counts conserved");
     assert_eq!(total_per_sig, want_total, "busy time conserved exactly");
+}
+
+/// A summary stands for a run of records that were adjacent in time, so
+/// its `[begin, end]` never strictly contains a record of another name.
+/// The shape that would expose a summary bridging foreign records: rounds
+/// of a 64-call polling burst followed by 448 sends that never merge
+/// (their byte counts alternate), on a rank compacting at 64 records.
+#[test]
+fn compaction_summary_never_spans_a_foreign_record() {
+    use ipm_repro::interpose::MonitorSink;
+    use ipm_repro::ipm::{Ipm, IpmConfig};
+
+    let ipm = Ipm::new(
+        SimClock::new(),
+        IpmConfig::default().with_trace_compaction(64),
+    );
+    let (query, send) = (
+        CallHandle::of("cudaStreamQuery"),
+        CallHandle::of("MPI_Send"),
+    );
+    let mut t = 0.0f64;
+    for _round in 0..4 {
+        for _ in 0..64 {
+            ipm.span(query, 0, t, t + Q);
+            t += 2.0 * Q;
+        }
+        for i in 0..448u64 {
+            ipm.span(send, 8 + 8 * (i % 2), t, t + Q);
+            t += 2.0 * Q;
+        }
+    }
+    let info = ipm.monitor_info();
+    assert!(info.trace_compacted > 0, "polling bursts must compact");
+    let records = ipm.drain_trace();
+    for s in records.iter().filter(|r| r.is_summary()) {
+        let foreign = records
+            .iter()
+            .filter(|r| r.name != s.name && s.begin < r.begin && r.end < s.end)
+            .count();
+        assert_eq!(
+            foreign, 0,
+            "summary [{}, {}] spans {foreign} records of another name",
+            s.begin, s.end
+        );
+    }
+}
+
+/// `ring_hwm_bytes` reports the most record bytes the ring ever held at
+/// once: a drain frees the slots, and a later smaller fill leaves the mark
+/// where the larger one put it.
+#[test]
+fn ring_hwm_bytes_is_exact() {
+    use ipm_repro::interpose::MonitorSink;
+    use ipm_repro::ipm::{Ipm, IpmConfig};
+
+    let ipm = Ipm::new(SimClock::new(), IpmConfig::default());
+    let call = CallHandle::of("cudaStreamQuery");
+    let mut t = 0.0f64;
+    let mut push = |n: usize| {
+        for _ in 0..n {
+            ipm.span(call, 0, t, t + Q);
+            t += 2.0 * Q;
+        }
+    };
+    push(100);
+    assert_eq!(ipm.drain_trace().len(), 100);
+    push(50);
+    assert_eq!(
+        ipm.monitor_info().ring_hwm_bytes,
+        100 * std::mem::size_of::<TraceRecord>() as u64
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -887,13 +943,12 @@ mod otlp_props {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
         /// Whatever a trace ring hands back — compacted summaries, partial
-        /// launch/kernel pairs, dropped records, multiple stripes — the
+        /// launch/kernel pairs, dropped records — the
         /// OTLP backend renders a document [`validate_otlp`] accepts, and
         /// the spans/links it reports never exceed what went in.
         #[test]
         fn arbitrary_ring_contents_export_to_valid_otlp(
             capacity in 8usize..300,
-            shards in 1usize..9,
             high_water in 2usize..24,
             epoch in 0.0f64..4.0,
             // (signature index, duration steps, gap steps, corr)
@@ -909,9 +964,8 @@ mod otlp_props {
                 "@CUDA_EXEC_STRM00",
                 "odd \"name\" with \\escapes",
             ];
-            let ring = TraceRing::with_policy(
-                capacity, shards, CompactPolicy::with_high_water(high_water),
-            );
+            let ring =
+                TraceRing::with_policy(capacity, CompactPolicy::with_high_water(high_water));
             let mut t = 0.0f64;
             let mut launches = 0usize;
             for &(sig, dur, gap, corr) in &stream {
@@ -995,7 +1049,7 @@ fn mutation_seeds() -> (Vec<String>, Vec<String>) {
                 monitor: Default::default(),
             };
             let e = r as f64 * 0.5;
-            let ring = TraceRing::with_policy(64, 1, CompactPolicy::with_high_water(4));
+            let ring = TraceRing::with_policy(64, CompactPolicy::with_high_water(4));
             for i in 0..6 {
                 let b = e + i as f64 * 0.25;
                 ring.push(trace_rec(
