@@ -6,19 +6,26 @@
 //! `results/trace_compacted.json` (and `results/trace_otlp.json`). The
 //! second, [`writer_branches_match_golden`], pins the Chrome, OTLP and XML
 //! bytes of a source built to reach every writer branch the first one
-//! misses (`results/trace_branches.*`). Regenerate a golden after an
-//! intentional writer change with:
+//! misses (`results/trace_branches.*`). The profile cases pin the banner,
+//! region report and XML of single-rank md, hpl, paratec and host-timing-only
+//! md runs (`results/profile_*.golden`). Regenerate a golden after an
+//! intentional writer or record-path change with:
 //!
 //! ```text
 //! UPDATE_GOLDEN=1 cargo test --test golden_trace
 //! ```
 
+use ipm_repro::apps::{
+    run_amber, run_cluster, run_hpl, run_paratec, AmberConfig, BlasBackend, ClusterConfig,
+    HplConfig, ParatecConfig, RankCtx,
+};
 use ipm_repro::gpu::{ProfKind, ProfRecord, StreamId};
 use ipm_repro::interpose::CallHandle;
 use ipm_repro::ipm::parse::export_from_xml;
 use ipm_repro::ipm::{
-    validate_chrome_trace, ChromeTrace, CompactPolicy, Export, MonitorInfo, ProfileEntry,
-    RankProfile, TraceAgg, TraceKind, TraceRank, TraceRecord, TraceRing, Xml,
+    validate_chrome_trace, Banner, ChromeTrace, CompactPolicy, Export, IpmConfig, MonitorInfo,
+    ProfileEntry, RankProfile, RegionReport, TraceAgg, TraceKind, TraceRank, TraceRecord,
+    TraceRing, Xml,
 };
 use ipm_repro::sim::RunningStats;
 
@@ -456,4 +463,116 @@ fn writer_branches_match_golden() {
         assert_eq!(got.records, want.records);
         assert_eq!(got.epoch.to_bits(), want.epoch.to_bits());
     }
+}
+
+/// Run `app` monitored on one rank and pin its banner, region report and
+/// XML log against `results/<file>`; returns the profile for the caller's
+/// coverage checks. Single-rank virtual-time runs are deterministic, and
+/// `self_wall_ns` (the monitor's real wall-clock self cost) is the one
+/// value that is not, so it is zeroed first. The XML writes every entry's
+/// `total/min/max` with shortest-round-trip floats, so the golden pins the
+/// whole table, not just its rendering.
+fn assert_profile_golden(
+    file: &str,
+    cfg: IpmConfig,
+    command: &str,
+    app: impl Fn(&mut RankCtx) + Send + Sync,
+) -> RankProfile {
+    let cluster = ClusterConfig::dirac(1, 1)
+        .with_ipm(cfg)
+        .with_command(command);
+    let mut profile = run_cluster(&cluster, app)
+        .profiles
+        .into_iter()
+        .next()
+        .expect("one rank");
+    profile.monitor.self_wall_ns = 0;
+    let export = || Export::from_profile(profile.clone()).max_rows(0);
+    let rendered = format!(
+        "{}\n{}\n{}",
+        export().to(Banner).expect("banner"),
+        export().to(RegionReport).expect("region report"),
+        export().to(Xml).expect("xml"),
+    );
+    assert_golden(file, &rendered);
+    profile
+}
+
+/// The MD (PMEMD-like) workload: kernels, transfers, host idle, regions.
+#[test]
+fn md_profile_matches_golden() {
+    let p = assert_profile_golden(
+        "profile_md.golden",
+        IpmConfig::default(),
+        "pmemd.cuda",
+        |ctx| {
+            run_amber(ctx, AmberConfig::tiny()).expect("md");
+        },
+    );
+    assert!(
+        p.entries.iter().any(|e| e.name == "cudaLaunch"),
+        "md run recorded no launches"
+    );
+    assert!(
+        p.entries.iter().any(|e| e.name.starts_with('@')),
+        "md run produced no pseudo entries (exec/idle)"
+    );
+}
+
+/// The Linpack workload: raw kernel launches, event-API synchronization,
+/// byte-attributed MPI and async copies.
+#[test]
+fn hpl_profile_matches_golden() {
+    let p = assert_profile_golden(
+        "profile_hpl.golden",
+        IpmConfig::default(),
+        "xhpl.cuda",
+        |ctx| {
+            run_hpl(ctx, HplConfig::tiny()).expect("hpl");
+        },
+    );
+    assert!(
+        p.entries
+            .iter()
+            .any(|e| e.name.starts_with("MPI_") && e.bytes > 0),
+        "hpl run recorded no byte-attributed MPI calls"
+    );
+}
+
+/// The PARATEC workload with the thunking-CUBLAS backend: every zgemm
+/// routes through the numlib facade with byte attribution.
+#[test]
+fn paratec_profile_matches_golden() {
+    let p = assert_profile_golden(
+        "profile_paratec.golden",
+        IpmConfig::default(),
+        "paratec.mpi",
+        |ctx| {
+            run_paratec(ctx, ParatecConfig::tiny(BlasBackend::CublasThunking)).expect("paratec");
+        },
+    );
+    assert!(
+        p.entries
+            .iter()
+            .any(|e| e.name.starts_with("cublas") && e.bytes > 0),
+        "paratec run recorded no byte-attributed cublas calls"
+    );
+}
+
+/// Host-timing-only configuration: the non-pseudo half of the record path
+/// (no KTT booking), with regions still present.
+#[test]
+fn host_only_md_profile_matches_golden() {
+    let p = assert_profile_golden(
+        "profile_md_host_only.golden",
+        IpmConfig::host_timing_only(),
+        "pmemd.cuda",
+        |ctx| {
+            run_amber(ctx, AmberConfig::tiny()).expect("md");
+        },
+    );
+    assert!(
+        !p.entries.iter().any(|e| e.name.starts_with("@CUDA_EXEC")),
+        "host-timing-only run booked kernel executions"
+    );
 }
