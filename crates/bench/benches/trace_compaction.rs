@@ -11,7 +11,6 @@
 //! stamped with the host it ran on, so later runs can diff it.
 
 use criterion::{criterion_group, Criterion};
-use ipm_core::jsonw::quote_into;
 use ipm_core::{CompactPolicy, TraceKind, TraceRecord, TraceRing};
 use ipm_interpose::CallHandle;
 use std::hint::black_box;
@@ -68,56 +67,6 @@ fn bench_push_paths(c: &mut Criterion) {
     });
 }
 
-/// The host the report was measured on, as a JSON object with the fields
-/// perfbench's `# host:` stamp prints: `nproc`, `rustc -V`, CPU model and
-/// git commit (`unknown` where unavailable). A commit whose tracked files
-/// (other than this report) differ from the working tree gets a `-dirty`
-/// suffix, as `git describe --dirty` does, so the numbers are never
-/// credited to a tree that did not produce them.
-fn host_json() -> String {
-    let nproc = std::thread::available_parallelism().map_or(0, |n| n.get());
-    let cpu = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find_map(|l| l.strip_prefix("model name"))
-                .map(|v| v.trim_start_matches([' ', '\t', ':']).to_owned())
-        })
-        .unwrap_or_else(|| "unknown".to_owned());
-    let mut out = format!("{{\"nproc\": {nproc}, \"rustc\": ");
-    quote_into(&mut out, &command_line("rustc", &["-V"]));
-    out.push_str(", \"cpu\": ");
-    quote_into(&mut out, &cpu);
-    let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-    let mut commit = command_line("git", &["-C", root, "rev-parse", "--short=12", "HEAD"]);
-    let clean = std::process::Command::new("git")
-        .args(["-C", root, "diff", "--quiet", "HEAD", "--", "."])
-        .arg(":(exclude)BENCH_trace.json")
-        .status()
-        .is_ok_and(|s| s.success());
-    if commit != "unknown" && !clean {
-        commit.push_str("-dirty");
-    }
-    out.push_str(", \"commit\": ");
-    quote_into(&mut out, &commit);
-    out.push('}');
-    out
-}
-
-/// A command's trimmed stdout, or `unknown` if it fails or prints nothing.
-fn command_line(program: &str, args: &[&str]) -> String {
-    std::process::Command::new(program)
-        .args(args)
-        .stderr(std::process::Stdio::null())
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_owned())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
-}
-
 fn compaction_report() {
     const EVENTS: u64 = 200_000;
 
@@ -135,7 +84,7 @@ fn compaction_report() {
 
     let json = format!(
         "{{\n  \"host\": {},\n  \"events\": {EVENTS},\n  \"uncompacted\": {{\"resident_peak\": {}, \"resident_final\": {}}},\n  \"compacted\": {{\"resident_peak\": {}, \"resident_final\": {}, \"compacted_away\": {}}}\n}}\n",
-        host_json(),
+        ipm_bench::host_json("BENCH_trace.json"),
         plain.0, plain.1, compacted.0, compacted.1, compacted.2,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_trace.json");

@@ -44,7 +44,6 @@
 pub mod aggregate;
 pub mod banner;
 pub mod compact;
-pub mod compat;
 pub mod cube;
 pub mod cuda_mon;
 pub mod driver_mon;
@@ -68,7 +67,6 @@ pub mod xml;
 
 pub use aggregate::{ClusterReport, ClusterSnapshot, RankSpread};
 pub use compact::{compact_records, same_signature, CompactPolicy, TraceAgg};
-pub use compat::LegacyMirror;
 pub use cube::{build_cube, cube_to_xml, render_cube_text, CubeMetric};
 pub use cuda_mon::IpmCuda;
 pub use driver_mon::IpmDriver;

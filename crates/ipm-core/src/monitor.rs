@@ -7,7 +7,6 @@
 //! ([`crate::cuda_mon::IpmCuda`] and friends) share it via `Arc`.
 
 use crate::compact::CompactPolicy;
-use crate::compat::LegacyMirror;
 use crate::ktt::{Ktt, KttCheckPolicy};
 use crate::profile::{classify, EventFamily, MonitorInfo, RankProfile};
 use crate::sig::SigKey;
@@ -18,7 +17,7 @@ use ipm_sim_core::SimClock;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Self-accounting sampling period: one recorded event in this many gets
@@ -235,10 +234,6 @@ pub struct Ipm {
     /// ~2 ns amortized instead of ~85 ns exact.
     self_events: AtomicU64,
     snap: Mutex<SnapState>,
-    /// Differential-test hook: a secondary recorder fed the same events as
-    /// the primary table through the *legacy string-keyed* path. Costs one
-    /// uncontended atomic load per record when absent (the normal case).
-    mirror: OnceLock<Arc<LegacyMirror>>,
 }
 
 /// User regions (IPM's `MPI_Pcontrol` regions), which nest.
@@ -289,7 +284,6 @@ impl Ipm {
             self_ns: AtomicU64::new(0),
             self_events: AtomicU64::new(0),
             snap: Mutex::new(SnapState::default()),
-            mirror: OnceLock::new(),
             cfg,
             clock,
             start,
@@ -321,8 +315,8 @@ impl Ipm {
     }
 
     /// The one signature-construction site of the record path: every
-    /// table update — wrapped call, pseudo-event, mirror — keys through
-    /// here, so the attributes can never diverge between paths.
+    /// table update — `update`, `span`, `update_pseudo` — keys through
+    /// here, so the attributes can never diverge between them.
     #[inline]
     fn sig_key(&self, id: CallId, bytes: u64, detail: Option<CallId>) -> SigKey {
         SigKey {
@@ -361,16 +355,7 @@ impl Ipm {
         let t = self.self_begin();
         let key = self.sig_key(name, 0, detail);
         self.table.update_key(key, duration);
-        if let Some(m) = self.mirror.get() {
-            m.pseudo(name, detail, key.region, duration);
-        }
         self.self_end(t);
-    }
-
-    /// Install the legacy string-keyed mirror (differential testing only).
-    /// First call wins; returns false if a mirror was already installed.
-    pub fn install_mirror(&self, mirror: Arc<LegacyMirror>) -> bool {
-        self.mirror.set(mirror).is_ok()
     }
 
     /// Whether the trace ring is active.
@@ -619,9 +604,6 @@ impl MonitorSink for Ipm {
         let t = self.self_begin();
         let key = self.sig_key(call.id, bytes, None);
         self.table.update_key(key, duration);
-        if let Some(m) = self.mirror.get() {
-            m.update(call, bytes, key.region, duration);
-        }
         self.self_end(t);
     }
 
@@ -629,9 +611,6 @@ impl MonitorSink for Ipm {
         let t = self.self_begin();
         let key = self.sig_key(call.id, bytes, None);
         self.table.update_key(key, end - begin);
-        if let Some(m) = self.mirror.get() {
-            m.update(call, bytes, key.region, end - begin);
-        }
         if let Some(ring) = &self.trace {
             // a launch wrapper just ran the real call on this thread, so the
             // runtime's thread-local correlation id belongs to this record
